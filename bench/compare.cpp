@@ -11,8 +11,11 @@
 //                                      default tolerance widens to ±0.20
 //                                      (micro benches measure wall clock)
 //       [--verbose]                    print in-tolerance deltas too
-//       [--host-report]                print wall-clock (host_*) deltas;
-//                                      informational, never gates
+//       [--host-report]                print the informational deltas —
+//                                      wall-clock host_*_ns in ms, host
+//                                      ratios (host_speedup) as a factor,
+//                                      phase_* attribution in virtual us;
+//                                      never gates
 //
 // Exit codes: 0 = no regression; 1 = at least one metric regressed beyond
 // tolerance; 2 = structural error (unreadable file, schema drift, missing
@@ -117,14 +120,7 @@ int main(int argc, char** argv) {
     }
 
     if (host_report && !rep.host_deltas.empty()) {
-        std::printf("%shost time (wall clock, informational — does not gate):\n",
-                    shown ? "\n" : "");
-        std::printf("  %-28s %12s %12s %9s\n", "point:metric", "base_ms", "cand_ms", "delta");
-        for (const auto& d : rep.host_deltas) {
-            std::string label = d.point + ":" + d.metric;
-            std::printf("  %-28s %12.2f %12.2f %+8.1f%%\n", label.c_str(), d.base_mean / 1e6,
-                        d.cand_mean / 1e6, d.rel_delta * 100);
-        }
+        std::printf("%s%s", shown ? "\n" : "", format_host_report(rep.host_deltas).c_str());
     }
 
     std::size_t regressed = rep.regressions();

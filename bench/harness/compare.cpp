@@ -1,6 +1,8 @@
 #include "harness/compare.hpp"
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 
 #include "harness/bench_json.hpp"
 
@@ -27,6 +29,83 @@ std::size_t CompareReport::regressions() const {
 bool is_host_metric(const std::string& name) { return name.rfind("host_", 0) == 0; }
 
 bool is_phase_metric(const std::string& name) { return name.rfind("phase_", 0) == 0; }
+
+namespace {
+
+bool ends_with(const std::string& s, const char* suffix) {
+    const std::size_t n = std::strlen(suffix);
+    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+}  // namespace
+
+InfoKind info_kind(const std::string& metric) {
+    if (is_phase_metric(metric)) return InfoKind::kPhase;
+    return ends_with(metric, "_ns") ? InfoKind::kHostTime : InfoKind::kHostRatio;
+}
+
+namespace {
+
+std::string format_info_value(const std::string& metric, InfoKind kind, double v) {
+    char buf[48];
+    switch (kind) {
+        case InfoKind::kHostTime:
+            std::snprintf(buf, sizeof(buf), "%.2f", v / 1e6);
+            break;
+        case InfoKind::kHostRatio:
+            std::snprintf(buf, sizeof(buf), "%.2fx", v);
+            break;
+        case InfoKind::kPhase:
+            std::snprintf(buf, sizeof(buf), "%.3f%s", v,
+                          ends_with(metric, "_us")    ? " us"
+                          : ends_with(metric, "_pct") ? " %"
+                                                      : "");
+            break;
+    }
+    return buf;
+}
+
+}  // namespace
+
+std::string format_host_report(const std::vector<MetricDelta>& deltas) {
+    struct Section {
+        InfoKind kind;
+        const char* title;
+        const char* base;
+        const char* cand;
+    };
+    static const Section kSections[] = {
+        {InfoKind::kHostTime, "host time (wall clock, informational — does not gate):", "base_ms",
+         "cand_ms"},
+        {InfoKind::kHostRatio, "host ratios (informational — does not gate):", "base", "cand"},
+        {InfoKind::kPhase,
+         "critical-path attribution (virtual time, informational — does not gate):", "base",
+         "cand"},
+    };
+    std::string out;
+    char line[256];
+    for (const Section& sec : kSections) {
+        bool header = false;
+        for (const MetricDelta& d : deltas) {
+            if (info_kind(d.metric) != sec.kind) continue;
+            if (!header) {
+                if (!out.empty()) out += "\n";
+                out += sec.title;
+                std::snprintf(line, sizeof(line), "\n  %-36s %14s %14s %9s\n", "point:metric",
+                              sec.base, sec.cand, "delta");
+                out += line;
+                header = true;
+            }
+            const std::string label = d.point + ":" + d.metric;
+            std::snprintf(line, sizeof(line), "  %-36s %14s %14s %+8.1f%%\n", label.c_str(),
+                          format_info_value(d.metric, sec.kind, d.base_mean).c_str(),
+                          format_info_value(d.metric, sec.kind, d.cand_mean).c_str(),
+                          d.rel_delta * 100);
+            out += line;
+        }
+    }
+    return out;
+}
 
 Json strip_host_metrics(const Json& suite) {
     if (!suite.is_object()) return suite;

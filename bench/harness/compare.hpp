@@ -50,7 +50,8 @@ struct MetricDelta {
 
 struct CompareReport {
     std::vector<MetricDelta> deltas;
-    /// Informational deltas (host_* wall-clock and phase_* attribution):
+    /// Informational deltas (host_* wall-clock and phase_* attribution; see
+    /// format_host_report):
     /// never counted as regressions, and missing on either side is not an
     /// error (old baselines predate these fields).
     std::vector<MetricDelta> host_deltas;
@@ -77,6 +78,16 @@ bool is_host_metric(const std::string& name);
 /// metric missing on either side is not an error (old baselines predate
 /// them).
 bool is_phase_metric(const std::string& name);
+
+/// How an informational delta is printed: wall-clock `host_*_ns` in ms,
+/// other host_* metrics (host_speedup) as a factor, phase_* attribution in
+/// its own virtual-time unit.
+enum class InfoKind { kHostTime, kHostRatio, kPhase };
+InfoKind info_kind(const std::string& metric);
+
+/// The `bench_compare --host-report` text: one table per InfoKind present in
+/// `deltas` (rows in report order), empty when there are none.
+std::string format_host_report(const std::vector<MetricDelta>& deltas);
 
 /// Copy of a neo-bench-suite@1 document with every host_* metric removed
 /// from every point — what determinism tests byte-compare.

@@ -51,17 +51,24 @@ Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim:
     const sim::Time measure_from = start + warmup;
     const sim::Time deadline = measure_from + measure;
 
-    // Span capture for the critical-path metrics: when the run is not
-    // already traced, attach a spans-only sink for the duration of this
-    // run, so phase attribution is computed on every run, traced or not.
-    // The sink hangs off the simulator exactly like a full trace (PDES
-    // partitions buffer locally and merge in event-key order), keeping the
-    // span stream — and the phase_* metrics derived from it —
-    // byte-identical across --sim-threads values.
+    // Critical-path attribution streams over the span events of this run:
+    // the accumulator hangs off the master sink when the run is traced, or
+    // off a spans-only sink of its own that stores nothing. The sink feeds
+    // it in event-key order (PDES partitions buffer locally and merge at
+    // window boundaries), so the phase_* metrics are byte-identical across
+    // --sim-threads values. The window rule mirrors the latency histogram's
+    // (begin >= measure_from): a request that began before the window is
+    // not attributed.
     obs::TraceSink* master = sim.trace();
     obs::TraceSink local_spans;
+    obs::TraceSink& span_src = master ? *master : local_spans;
+    obs::CriticalPathAccumulator critical_path(measure_from);
+    NEO_ASSERT_MSG(span_src.span_consumer() == nullptr,
+                   "trace sink already has a span consumer");
+    span_src.set_span_consumer(&critical_path);
     if (master == nullptr) {
         local_spans.set_kind_mask(obs::kSpanKindMask);
+        local_spans.set_store(false);
         sim.set_trace(&local_spans);
     }
 
@@ -90,14 +97,18 @@ Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim:
     auto completed = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
     auto per_client_k = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
 
-    // One self-rescheduling closed loop per client.
+    // One self-rescheduling closed loop per client. The loop refers to
+    // itself weakly (a strong self-capture is a cycle that never frees);
+    // each in-flight request's callback holds it strongly.
     auto issue = std::make_shared<std::function<void(int)>>();
-    *issue = [&d, &ops, issue, hists, completed, per_client_k, measure_from, deadline](int c) {
+    *issue = [&d, &ops, self = std::weak_ptr(issue), hists, completed, per_client_k,
+              measure_from, deadline](int c) {
         sim::Simulator& s = d.simulator();
         if (s.now() >= deadline) return;
         std::uint64_t k = (*per_client_k)[static_cast<std::size_t>(c)]++;
         sim::Time begin = s.now();
-        d.invoke(c, ops(c, k), [&d, issue, hists, completed, measure_from, deadline, begin, c](Bytes) {
+        d.invoke(c, ops(c, k), [&d, issue = self.lock(), hists, completed, measure_from,
+                                deadline, begin, c](Bytes) {
             sim::Time end = d.simulator().now();
             if (begin >= measure_from && end < deadline) {
                 (*hists)[static_cast<std::size_t>(c)].add(sim::to_us(end - begin));
@@ -109,6 +120,7 @@ Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim:
     for (int c = 0; c < d.n_clients(); ++c) (*issue)(c);
 
     sim.run_until(deadline);
+    span_src.set_span_consumer(nullptr);
     if (master == nullptr) sim.set_trace(nullptr);
 
     Histogram hist;
@@ -134,22 +146,8 @@ Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim:
         m.queue_us_per_op = sim::to_us(d.network().total_queue_wait() - base->queue) / ops;
     }
 
-    // Critical-path attribution over the measurement window. The window
-    // filter mirrors the histogram's rule (begin >= measure_from): a
-    // request span whose begin fell before the window loses its begin
-    // event here, so the analyzer skips it as uncommitted.
     {
-        const obs::TraceSink& spans_src = master ? *master : local_spans;
-        std::vector<obs::SpanRecord> spans;
-        for (const obs::TraceEvent& e : spans_src.events()) {
-            if (e.kind != obs::EventKind::kSpanBegin && e.kind != obs::EventKind::kSpanEnd) {
-                continue;
-            }
-            if (e.t < measure_from) continue;
-            spans.push_back(
-                {e.t, e.node, e.kind == obs::EventKind::kSpanBegin, e.label, e.a, e.b});
-        }
-        obs::CriticalPathReport rep = obs::analyze_spans(spans);
+        obs::CriticalPathReport rep = critical_path.report();
         if (rep.requests > 0) {
             m.phase["phase_requests"] = static_cast<double>(rep.requests);
             m.phase["phase_e2e_mean_us"] = rep.e2e_mean_us;
@@ -163,6 +161,8 @@ Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim:
                 m.phase["phase_" + ph.phase + "_share_pct"] = ph.share_pct;
             }
         }
+        m.phase_live_peak = critical_path.live_high_water();
+        m.span_events_stored = local_spans.size();
     }
 
     // Safety audit: every closed-loop run checks the deployment's

@@ -47,6 +47,11 @@ struct Measured {
     /// derived from the span stream, which is byte-identical across
     /// --sim-threads values.
     std::map<std::string, double> phase;
+    /// Host-side footprint of that attribution (never serialized): the most
+    /// requests the streaming analyzer held in flight at once, and the
+    /// events the run's own spans-only sink stored (0: it streams them).
+    std::size_t phase_live_peak = 0;
+    std::size_t span_events_stored = 0;
 };
 
 /// Type-erased running system: owns all nodes; the driver only needs

@@ -1,10 +1,11 @@
 // Offline critical-path analysis and schema lint for exported traces.
 //
 // Reads a trace written by --trace (JSONL when the path ends in ".jsonl",
-// Chrome trace_event JSON otherwise), rebuilds the request-scoped span
-// records and prints the same per-phase p50/p99 attribution table fig7
-// computes in-process (obs::format_report) — the phase durations telescope,
-// so their sum matches the end-to-end commit latency exactly.
+// Chrome trace_event JSON otherwise), streams its request-scoped span
+// events into obs::CriticalPathAccumulator as they are parsed and prints
+// the same per-phase p50/p99 attribution table fig7 computes in-process
+// (obs::format_report) — the phase durations telescope, so their sum
+// matches the end-to-end commit latency exactly.
 //
 //   trace_report <trace.json|trace.jsonl>          attribution report
 //   trace_report <trace.json|trace.jsonl> --lint   schema validation only
@@ -34,7 +35,8 @@ using neo::bench::Json;
 using neo::bench::JsonError;
 
 struct Parsed {
-    std::vector<neo::obs::SpanRecord> spans;
+    neo::obs::CriticalPathAccumulator critical_path;
+    std::size_t span_events = 0;  // well-formed span events fed to critical_path
     std::size_t events = 0;
     std::size_t open_spans = 0;  // begins never closed (in flight at capture end)
     std::vector<std::string> errors;
@@ -64,8 +66,8 @@ class SpanBalance {
     }
     bool on_end(const neo::obs::SpanRecord& s) {
         auto it = open_.find(key(s));
-        if (it == open_.end() || it->second == 0) return false;
-        --it->second;
+        if (it == open_.end()) return false;
+        if (--it->second == 0) open_.erase(it);  // only open spans stay keyed
         return true;
     }
     std::size_t still_open() const {
@@ -80,7 +82,8 @@ class SpanBalance {
     std::map<Key, long> open_;
 };
 
-void take_span(Parsed& p, SpanBalance& bal, neo::obs::SpanRecord s, const std::string& where) {
+void take_span(Parsed& p, SpanBalance& bal, const neo::obs::SpanRecord& s,
+               const std::string& where) {
     if (s.tid == 0) {
         add_error(p, where + ": span event with zero trace_id");
         return;
@@ -91,11 +94,11 @@ void take_span(Parsed& p, SpanBalance& bal, neo::obs::SpanRecord s, const std::s
         add_error(p, where + ": span_end \"" + s.name + "\" without a matching begin");
         return;
     }
-    p.spans.push_back(std::move(s));
+    ++p.span_events;
+    p.critical_path.add(s.t, s.node, s.begin, s.name, s.tid, s.peer);
 }
 
-Parsed parse_jsonl(std::istream& in) {
-    Parsed p;
+void parse_jsonl(std::istream& in, Parsed& p) {
     SpanBalance bal;
     std::string line;
     std::size_t lineno = 0;
@@ -139,26 +142,24 @@ Parsed parse_jsonl(std::istream& in) {
         s.name = label->string();
         s.tid = static_cast<std::uint64_t>(tid->number());
         s.peer = static_cast<std::uint64_t>(peer->number());
-        take_span(p, bal, std::move(s), where);
+        take_span(p, bal, s, where);
     }
     p.open_spans = bal.still_open();
-    return p;
 }
 
-Parsed parse_chrome(const std::string& path) {
-    Parsed p;
+void parse_chrome(const std::string& path, Parsed& p) {
     SpanBalance bal;
     Json doc;
     try {
         doc = Json::parse_file(path);
     } catch (const JsonError& err) {
         add_error(p, std::string("parse: ") + err.what());
-        return p;
+        return;
     }
     const Json* evs = doc.find("traceEvents");
     if (!evs || !evs->is_array()) {
         add_error(p, "not a Chrome trace document (missing traceEvents array)");
-        return p;
+        return;
     }
     std::size_t idx = 0;
     for (const Json& e : evs->items()) {
@@ -202,10 +203,9 @@ Parsed parse_chrome(const std::string& path) {
         s.name = name->string();
         s.tid = static_cast<std::uint64_t>(id->number());
         s.peer = static_cast<std::uint64_t>(peer->number());
-        take_span(p, bal, std::move(s), where);
+        take_span(p, bal, s, where);
     }
     p.open_spans = bal.still_open();
-    return p;
 }
 
 int usage(const char* argv0) {
@@ -245,9 +245,9 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "trace_report: cannot open %s\n", path.c_str());
             return 2;
         }
-        p = parse_jsonl(in);
+        parse_jsonl(in, p);
     } else {
-        p = parse_chrome(path);
+        parse_chrome(path, p);
     }
 
     for (const std::string& e : p.errors) {
@@ -258,14 +258,14 @@ int main(int argc, char** argv) {
     }
     if (lint) {
         std::printf("trace-lint: %s — %zu events, %zu span events, %zu spans in flight\n",
-                    p.errors.empty() ? "OK" : "FAILED", p.events, p.spans.size(),
+                    p.errors.empty() ? "OK" : "FAILED", p.events, p.span_events,
                     p.open_spans);
         return p.errors.empty() ? 0 : 1;
     }
 
-    neo::obs::CriticalPathReport rep = neo::obs::analyze_spans(p.spans);
+    neo::obs::CriticalPathReport rep = p.critical_path.report();
     std::printf("%s (%zu events, %zu span events, %zu spans in flight)\n", path.c_str(),
-                p.events, p.spans.size(), p.open_spans);
+                p.events, p.span_events, p.open_spans);
     std::fputs(neo::obs::format_report(rep).c_str(), stdout);
     return p.errors.empty() ? 0 : 1;
 }

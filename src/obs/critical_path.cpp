@@ -1,13 +1,13 @@
 #include "obs/critical_path.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "common/histogram.hpp"
 
 namespace neo::obs {
 
-const char* const kPhaseOrder[] = {
+const char* const kPhaseOrder[kPhaseOrderCount] = {
     "client_submit",  // client invoke -> sequencer ingress (NeoBFT) or
                       // arrival in the leader's batcher (baselines)
     "batch",          // wait in the leader's adaptive batcher until seal
@@ -21,117 +21,263 @@ const char* const kPhaseOrder[] = {
     "reply_net",      // execution done -> first matching reply at the client
     "reply_quorum",   // first matching reply -> 2f+1 quorum completion
 };
-const std::size_t kPhaseOrderCount = sizeof(kPhaseOrder) / sizeof(kPhaseOrder[0]);
 
 namespace {
 
 constexpr sim::Time kUnset = -1;
-
-struct PerTid {
-    sim::Time req_b = kUnset, req_e = kUnset;
-    NodeId completing = 0;
-    sim::Time quorum_b = kUnset;
-    sim::Time batch_b = kUnset, batch_e = kUnset;
-    sim::Time seq_b = kUnset, seq_e = kUnset;
-    std::map<NodeId, sim::Time> deliver_b, deliver_e;
-    std::map<NodeId, sim::Time> exec_b, exec_e;
-};
-
-sim::Time lookup(const std::map<NodeId, sim::Time>& m, NodeId node) {
-    auto it = m.find(node);
-    return it == m.end() ? kUnset : it->second;
-}
+constexpr std::size_t kLastPhase = kPhaseOrderCount - 1;  // reply_quorum
 
 void set_once(sim::Time& slot, sim::Time t) {
     if (slot == kUnset) slot = t;
 }
 
+// splitmix64 finalizer: trace ids are already hashes, but test streams and
+// hand-written traces use small integers.
+std::uint64_t mix(std::uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
 }  // namespace
 
-CriticalPathReport analyze_spans(const std::vector<SpanRecord>& spans) {
-    std::map<std::uint64_t, PerTid> reqs;
-    for (const SpanRecord& s : spans) {
-        PerTid& r = reqs[s.tid];
-        if (s.name == "request") {
-            if (s.begin) {
-                set_once(r.req_b, s.t);
-            } else if (r.req_e == kUnset) {
-                r.req_e = s.t;
-                r.completing = static_cast<NodeId>(s.peer);
-            }
-        } else if (s.name == "quorum") {
-            if (s.begin) set_once(r.quorum_b, s.t);
-        } else if (s.name == "batch") {
-            if (s.begin) set_once(r.batch_b, s.t);
-            else set_once(r.batch_e, s.t);
-        } else if (s.name == "sequence") {
-            if (s.begin) set_once(r.seq_b, s.t);
-            else set_once(r.seq_e, s.t);
-        } else if (s.name == "deliver") {
-            auto& m = s.begin ? r.deliver_b : r.deliver_e;
-            m.try_emplace(s.node, s.t);
-        } else if (s.name == "execute") {
-            auto& m = s.begin ? r.exec_b : r.exec_e;
-            m.try_emplace(s.node, s.t);
+// ------------------------------------------------------------ live state
+
+void CriticalPathAccumulator::Live::reset(sim::Time begin) {
+    req_b = begin;
+    quorum_b = batch_b = batch_e = seq_b = seq_e = kUnset;
+    n_nodes = 0;
+    more.clear();
+}
+
+std::size_t CriticalPathAccumulator::Live::index_of(NodeId node) const {
+    for (std::size_t i = 0; i < n_nodes; ++i) {
+        if (node_at(i).node == node) return i;
+    }
+    return n_nodes;
+}
+
+CriticalPathAccumulator::NodeTimes& CriticalPathAccumulator::Live::at(NodeId node) {
+    const std::size_t i = index_of(node);
+    if (i == n_nodes) {
+        NodeTimes& fresh = n_nodes < kInline ? nodes[n_nodes] : more.emplace_back();
+        fresh = {node, kUnset, kUnset, kUnset, kUnset};
+        ++n_nodes;
+    }
+    return node_at(i);
+}
+
+const CriticalPathAccumulator::NodeTimes* CriticalPathAccumulator::Live::find(NodeId node) const {
+    const std::size_t i = index_of(node);
+    return i == n_nodes ? nullptr : &node_at(i);
+}
+
+std::size_t CriticalPathAccumulator::LiveMap::home(std::uint64_t tid) const {
+    return static_cast<std::size_t>(mix(tid)) & (table_.size() - 1);
+}
+
+std::uint32_t CriticalPathAccumulator::LiveMap::find(std::uint64_t tid) const {
+    if (table_.empty()) return kNone;
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = home(tid);; i = (i + 1) & mask) {
+        const Entry& e = table_[i];
+        if (e.slot == kNone || e.tid == tid) return e.slot;
+    }
+}
+
+void CriticalPathAccumulator::LiveMap::insert(std::uint64_t tid, std::uint32_t slot) {
+    if (2 * (size_ + 1) > table_.size()) grow();
+    const std::size_t mask = table_.size() - 1;
+    std::size_t i = home(tid);
+    while (table_[i].slot != kNone) i = (i + 1) & mask;
+    table_[i] = {tid, slot};
+    ++size_;
+}
+
+void CriticalPathAccumulator::LiveMap::erase(std::uint64_t tid) {
+    const std::size_t mask = table_.size() - 1;
+    std::size_t hole = home(tid);
+    while (table_[hole].tid != tid || table_[hole].slot == kNone) hole = (hole + 1) & mask;
+    // Back-shift: pull later entries of the probe run into the hole unless
+    // their home lies cyclically in (hole, j], where they already sit.
+    for (std::size_t j = (hole + 1) & mask; table_[j].slot != kNone; j = (j + 1) & mask) {
+        const std::size_t k = home(table_[j].tid);
+        const bool stays = hole <= j ? (hole < k && k <= j) : (hole < k || k <= j);
+        if (!stays) {
+            table_[hole] = table_[j];
+            hole = j;
         }
     }
+    table_[hole] = Entry{};
+    --size_;
+}
+
+void CriticalPathAccumulator::LiveMap::grow() {
+    std::vector<Entry> old = std::move(table_);
+    table_.assign(old.empty() ? 64 : 2 * old.size(), Entry{});
+    size_ = 0;
+    for (const Entry& e : old) {
+        if (e.slot != kNone) insert(e.tid, e.slot);
+    }
+}
+
+// ------------------------------------------------------------ accumulator
+
+CriticalPathAccumulator::CriticalPathAccumulator(sim::Time window_start)
+    : window_start_(window_start) {}
+
+CriticalPathAccumulator::Span CriticalPathAccumulator::classify(std::string_view name) {
+    if (name == "request") return Span::kRequest;
+    if (name == "quorum") return Span::kQuorum;
+    if (name == "batch") return Span::kBatch;
+    if (name == "sequence") return Span::kSequence;
+    if (name == "deliver") return Span::kDeliver;
+    if (name == "execute") return Span::kExecute;
+    return Span::kOther;
+}
+
+CriticalPathAccumulator::Span CriticalPathAccumulator::classify_label(const char* label) {
+    for (std::size_t i = 0; i < n_labels_; ++i) {
+        if (labels_[i].label == label) return labels_[i].span;
+    }
+    const Span s = classify(label);
+    if (n_labels_ < labels_.size()) labels_[n_labels_++] = {label, s};
+    return s;
+}
+
+void CriticalPathAccumulator::on_span(const TraceEvent& e) {
+    feed(e.t, e.node, e.kind == EventKind::kSpanBegin, classify_label(e.label), e.a, e.b);
+}
+
+void CriticalPathAccumulator::add(sim::Time t, NodeId node, bool begin, std::string_view name,
+                                  std::uint64_t tid, std::uint64_t peer) {
+    feed(t, node, begin, classify(name), tid, peer);
+}
+
+void CriticalPathAccumulator::feed(sim::Time t, NodeId node, bool begin, Span s,
+                                   std::uint64_t tid, std::uint64_t peer) {
+    if (s == Span::kOther || t < window_start_) return;
+    std::uint32_t slot = live_.find(tid);
+    if (slot == LiveMap::kNone) {
+        // Only a request's begin opens state. Anything else for an unknown
+        // trace id belongs to a request that began before the window or has
+        // already completed.
+        if (s != Span::kRequest || !begin) return;
+        if (free_.empty()) {
+            slot = static_cast<std::uint32_t>(pool_.size());
+            pool_.emplace_back();
+        } else {
+            slot = free_.back();
+            free_.pop_back();
+        }
+        pool_[slot].reset(t);
+        live_.insert(tid, slot);
+        if (live_.size() > live_peak_) live_peak_ = live_.size();
+        return;
+    }
+    Live& r = pool_[slot];
+    switch (s) {
+        case Span::kRequest:
+            if (begin) return;  // a duplicate begin keeps the first
+            rows_.push_back(complete(tid, r, t, static_cast<NodeId>(peer)));
+            live_.erase(tid);
+            free_.push_back(slot);
+            return;
+        case Span::kQuorum:
+            if (begin) set_once(r.quorum_b, t);
+            return;
+        case Span::kBatch:
+            set_once(begin ? r.batch_b : r.batch_e, t);
+            return;
+        case Span::kSequence:
+            set_once(begin ? r.seq_b : r.seq_e, t);
+            return;
+        case Span::kDeliver: {
+            NodeTimes& n = r.at(node);
+            set_once(begin ? n.deliver_b : n.deliver_e, t);
+            return;
+        }
+        case Span::kExecute: {
+            NodeTimes& n = r.at(node);
+            set_once(begin ? n.exec_b : n.exec_e, t);
+            return;
+        }
+        case Span::kOther:
+            return;
+    }
+}
+
+CriticalPathAccumulator::Row CriticalPathAccumulator::complete(std::uint64_t tid, const Live& r,
+                                                               sim::Time end,
+                                                               NodeId completing) const {
+    const NodeTimes* n = r.find(completing);
+    const sim::Time cuts[kLastPhase] = {
+        // client_submit ends where the pipeline first takes custody of the
+        // request: the sequencer ingress (NeoBFT) or the leader's batcher
+        // (baselines, which have no sequence spans).
+        r.batch_b != kUnset ? r.batch_b : r.seq_b,
+        r.batch_e,
+        r.seq_e,
+        n ? n->deliver_b : kUnset,
+        n ? n->deliver_e : kUnset,
+        n ? n->exec_b : kUnset,
+        n ? n->exec_e : kUnset,
+        r.quorum_b,
+    };
+
+    // Walk the pipeline; each observed, monotonic cut closes one phase.
+    // Skipped cuts fold their interval into the next observed phase, so
+    // the phase durations always sum to exactly end - req_b.
+    Row row{tid, {}, 0, kLastPhase};
+    sim::Time prev = r.req_b;
+    sim::Time longest = -1;
+    auto close = [&](std::size_t phase, sim::Time t) {
+        const sim::Time dur = t - prev;
+        prev = t;
+        row.dur[phase] = dur;
+        row.observed |= static_cast<std::uint16_t>(1u << phase);
+        if (dur > longest) {
+            longest = dur;
+            row.dominant = static_cast<std::uint8_t>(phase);
+        }
+    };
+    for (std::size_t i = 0; i < kLastPhase; ++i) {
+        const sim::Time c = cuts[i];
+        if (c == kUnset || c < prev || c > end) continue;
+        close(i, c);
+    }
+    close(kLastPhase, end);
+    return row;
+}
+
+CriticalPathReport CriticalPathAccumulator::report() {
+    std::stable_sort(rows_.begin(), rows_.end(),
+                     [](const Row& a, const Row& b) { return a.tid < b.tid; });
 
     CriticalPathReport rep;
-    std::map<std::string, Histogram> phase_hist;
-    std::map<std::string, std::size_t> dominant;
+    std::array<Histogram, kPhaseOrderCount> phase_hist;
+    std::array<std::size_t, kPhaseOrderCount> dominant{};
     Histogram e2e;
     double phase_sum_total = 0;
     double e2e_sum_total = 0;
-
-    for (auto& [tid, r] : reqs) {
-        if (r.req_b == kUnset || r.req_e == kUnset) continue;  // not committed
+    for (std::size_t k = 0; k < rows_.size(); ++k) {
+        const Row& row = rows_[k];
+        if (k > 0 && rows_[k - 1].tid == row.tid) continue;
         ++rep.requests;
-
-        struct Cut {
-            const char* phase;
-            sim::Time t;
-        };
-        const Cut cuts[] = {
-            // client_submit ends where the pipeline first takes custody of
-            // the request: the sequencer ingress (NeoBFT) or the leader's
-            // batcher (baselines, which have no sequence spans).
-            {"client_submit", r.batch_b != kUnset ? r.batch_b : r.seq_b},
-            {"batch", r.batch_e},
-            {"sequence", r.seq_e},
-            {"net_fanout", lookup(r.deliver_b, r.completing)},
-            {"aom_deliver", lookup(r.deliver_e, r.completing)},
-            {"ordering", lookup(r.exec_b, r.completing)},
-            {"execute", lookup(r.exec_e, r.completing)},
-            {"reply_net", r.quorum_b},
-        };
-
-        // Walk the pipeline; each observed, monotonic cut closes one phase.
-        // Skipped cuts fold their interval into the next observed phase, so
-        // the phase durations always sum to exactly req_e - req_b.
-        sim::Time prev = r.req_b;
-        const char* longest = "reply_quorum";
-        sim::Time longest_dur = -1;
         double phase_sum = 0;
-        auto close = [&](const char* phase, sim::Time t) {
-            sim::Time dur = t - prev;
-            prev = t;
-            double us = static_cast<double>(dur) / 1000.0;
-            phase_hist[phase].add(us);
+        sim::Time e2e_ns = 0;
+        for (std::size_t i = 0; i < kPhaseOrderCount; ++i) {
+            if (!(row.observed & (1u << i))) continue;
+            const double us = static_cast<double>(row.dur[i]) / 1000.0;
+            phase_hist[i].add(us);
             phase_sum += us;
-            if (dur > longest_dur) {
-                longest_dur = dur;
-                longest = phase;
-            }
-        };
-        for (const Cut& c : cuts) {
-            if (c.t == kUnset || c.t < prev || c.t > r.req_e) continue;
-            close(c.phase, c.t);
+            e2e_ns += row.dur[i];
         }
-        close("reply_quorum", r.req_e);
-
-        double e2e_us = static_cast<double>(r.req_e - r.req_b) / 1000.0;
+        const double e2e_us = static_cast<double>(e2e_ns) / 1000.0;
         e2e.add(e2e_us);
-        ++dominant[longest];
+        ++dominant[row.dominant];
         phase_sum_total += phase_sum;
         e2e_sum_total += e2e_us;
     }
@@ -143,12 +289,11 @@ CriticalPathReport analyze_spans(const std::vector<SpanRecord>& spans) {
     }
     rep.residual_us = phase_sum_total - e2e_sum_total;
 
-    auto emit = [&](const std::string& name) {
-        auto it = phase_hist.find(name);
-        if (it == phase_hist.end()) return;
-        Histogram& h = it->second;
+    for (std::size_t i = 0; i < kPhaseOrderCount; ++i) {
+        Histogram& h = phase_hist[i];
+        if (h.empty()) continue;
         PhaseStat st;
-        st.phase = name;
+        st.phase = kPhaseOrder[i];
         st.count = h.count();
         st.mean_us = h.mean();
         st.p50_us = h.percentile(50);
@@ -156,23 +301,26 @@ CriticalPathReport analyze_spans(const std::vector<SpanRecord>& spans) {
         st.max_us = h.max();
         st.share_pct =
             e2e_sum_total > 0 ? 100.0 * h.mean() * h.count() / e2e_sum_total : 0;
-        auto dit = dominant.find(name);
-        st.dominant = dit == dominant.end() ? 0 : dit->second;
+        st.dominant = dominant[i];
         rep.phases.push_back(std::move(st));
-        phase_hist.erase(it);
-    };
-    for (std::size_t i = 0; i < kPhaseOrderCount; ++i) emit(kPhaseOrder[i]);
-    while (!phase_hist.empty()) emit(phase_hist.begin()->first);  // unknown names
+    }
     return rep;
 }
 
+// ------------------------------------------------------------ feeders
+
+CriticalPathReport analyze_spans(const std::vector<SpanRecord>& spans) {
+    CriticalPathAccumulator acc;
+    for (const SpanRecord& s : spans) acc.add(s.t, s.node, s.begin, s.name, s.tid, s.peer);
+    return acc.report();
+}
+
 CriticalPathReport analyze_trace(const TraceSink& sink) {
-    std::vector<SpanRecord> spans;
+    CriticalPathAccumulator acc;
     for (const TraceEvent& e : sink.events()) {
-        if (e.kind != EventKind::kSpanBegin && e.kind != EventKind::kSpanEnd) continue;
-        spans.push_back({e.t, e.node, e.kind == EventKind::kSpanBegin, e.label, e.a, e.b});
+        if (e.kind == EventKind::kSpanBegin || e.kind == EventKind::kSpanEnd) acc.on_span(e);
     }
-    return analyze_spans(spans);
+    return acc.report();
 }
 
 std::string format_report(const CriticalPathReport& r) {

@@ -100,6 +100,15 @@ struct TraceEvent {
     std::uint64_t c = 0;
 };
 
+/// Streaming reader of a sink's span events (kSpanBegin/kSpanEnd), e.g.
+/// obs::CriticalPathAccumulator. Called on the thread that records into
+/// the sink, in the sink's recording order.
+class SpanConsumer {
+  public:
+    virtual ~SpanConsumer() = default;
+    virtual void on_span(const TraceEvent& e) = 0;
+};
+
 class TraceSink {
   public:
     // ---- recording (call sites guard on a null sink; these never check) ----
@@ -192,6 +201,19 @@ class TraceSink {
     void set_kind_mask(std::uint32_t mask) { mask_ = mask; }
     std::uint32_t kind_mask() const { return mask_; }
 
+    /// Feeds every span event that passes the kind mask to `c` (nullptr
+    /// detaches) as it is recorded, or as the PDES window merge appends it
+    /// — so the consumer sees the same event-key order at any thread
+    /// count. Set it on the master sink only: partition-local buffers
+    /// never carry one.
+    void set_span_consumer(SpanConsumer* c) { consumer_ = c; }
+    SpanConsumer* span_consumer() const { return consumer_; }
+
+    /// With store off, recorded events reach the span consumer but are not
+    /// kept: a spans-only, no-store sink analyses a run in O(in-flight)
+    /// memory instead of buffering every event.
+    void set_store(bool store) { store_ = store; }
+
     // ---- access / export ----
 
     const std::vector<TraceEvent>& events() const { return events_; }
@@ -201,7 +223,10 @@ class TraceSink {
     /// Appends an already-built record — the parallel simulator's
     /// window-boundary merge copying per-partition buffers into the master
     /// sink in event-key order.
-    void append(const TraceEvent& e) { events_.push_back(e); }
+    void append(const TraceEvent& e) {
+        if (consumer_ != nullptr && is_span(e.kind)) consumer_->on_span(e);
+        if (store_) events_.push_back(e);
+    }
 
     /// One JSON object per line, recording order.
     void write_jsonl(std::ostream& os) const;
@@ -213,14 +238,19 @@ class TraceSink {
     bool write_chrome_trace_file(const std::string& path) const;
 
   private:
-    void push(TraceEvent e) {
+    static bool is_span(EventKind k) {
+        return k == EventKind::kSpanBegin || k == EventKind::kSpanEnd;
+    }
+    void push(const TraceEvent& e) {
         if (!(mask_ & kind_bit(e.kind))) return;
-        events_.push_back(e);
+        append(e);
     }
 
     std::vector<TraceEvent> events_;
     std::map<NodeId, std::string> node_names_;
     std::uint32_t mask_ = kAllKindsMask;
+    SpanConsumer* consumer_ = nullptr;
+    bool store_ = true;
 };
 
 }  // namespace neo::obs

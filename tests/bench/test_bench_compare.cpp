@@ -291,3 +291,56 @@ TEST(CompareMicro, NotABenchmarkDocumentIsError) {
                                       micro_with({{"BM_A", 1.0}}), cfg);
     EXPECT_FALSE(rep.errors.empty());
 }
+
+TEST(CompareHostReport, InformationalRowsPrintInTheirOwnUnits) {
+    EXPECT_EQ(info_kind("host_ns"), InfoKind::kHostTime);
+    EXPECT_EQ(info_kind("host_parallel_ns"), InfoKind::kHostTime);
+    EXPECT_EQ(info_kind("host_speedup"), InfoKind::kHostRatio);
+    EXPECT_EQ(info_kind("phase_e2e_p50_us"), InfoKind::kPhase);
+    EXPECT_EQ(info_kind("phase_requests"), InfoKind::kPhase);
+
+    auto row = [](const char* metric, double base, double cand) {
+        MetricDelta d;
+        d.point = "p";
+        d.metric = metric;
+        d.base_mean = base;
+        d.cand_mean = cand;
+        d.rel_delta = (cand - base) / base;
+        return d;
+    };
+    const std::string out = format_host_report({
+        row("phase_e2e_mean_us", 65.187, 70.0),
+        row("host_ns", 2.5e6, 5e6),
+        row("host_speedup", 1.5, 3.0),
+        row("phase_sequence_share_pct", 13.21, 13.21),
+        row("phase_requests", 3067, 3067),
+    });
+    // Wall-clock ns in ms; the ratio as a factor; virtual-time attribution
+    // in its own unit — never divided by 1e6 into 0.00.
+    EXPECT_NE(out.find("host time (wall clock"), std::string::npos) << out;
+    auto line_of = [&out](const std::string& label) {
+        const std::size_t at = out.find("  " + label + " ");
+        return at == std::string::npos ? std::string()
+                                       : out.substr(at, out.find('\n', at) - at);
+    };
+    EXPECT_NE(line_of("p:host_ns").find(" 2.50  "), std::string::npos) << out;
+    EXPECT_NE(line_of("p:host_ns").find(" 5.00  "), std::string::npos) << out;
+    EXPECT_NE(line_of("p:host_ns").find("+100.0%"), std::string::npos) << out;
+    EXPECT_NE(line_of("p:host_speedup").find(" 1.50x "), std::string::npos) << out;
+    EXPECT_NE(line_of("p:host_speedup").find(" 3.00x "), std::string::npos) << out;
+    EXPECT_NE(line_of("p:phase_e2e_mean_us").find(" 65.187 us "), std::string::npos) << out;
+    EXPECT_NE(line_of("p:phase_sequence_share_pct").find(" 13.210 % "), std::string::npos)
+        << out;
+    EXPECT_NE(line_of("p:phase_requests").find(" 3067.000 "), std::string::npos) << out;
+    EXPECT_EQ(out.find(" 0.00 "), std::string::npos) << out;
+    // Sections come in a fixed order, each once.
+    const std::size_t host = out.find("host time");
+    const std::size_t ratio = out.find("host ratios");
+    const std::size_t phase = out.find("critical-path attribution");
+    ASSERT_NE(phase, std::string::npos);
+    EXPECT_LT(host, ratio);
+    EXPECT_LT(ratio, phase);
+    EXPECT_EQ(out.find("critical-path attribution", phase + 1), std::string::npos);
+
+    EXPECT_EQ(format_host_report({}), "");
+}

@@ -3,6 +3,8 @@
 // count. Each protocol runs the same seed under --sim-threads 1, 2 and 8
 // with a spans-only sink attached; the serialized streams — and the
 // derived phase_* critical-path metrics — are compared byte for byte.
+// Untraced runs (no master sink: run_closed_loop streams spans through a
+// no-store sink of its own) must derive the very same phase_* metrics.
 // Runs under TSan in CI (LABEL tsan): the partition-local span buffers and
 // their window-boundary merge are exactly the code a data race would hit.
 #include <gtest/gtest.h>
@@ -69,6 +71,21 @@ TEST_P(SpanDeterminism, JsonlByteIdenticalAcrossSimThreads) {
         EXPECT_EQ(serial.completed, parallel.completed) << "threads=" << threads;
         EXPECT_EQ(serial.jsonl, parallel.jsonl) << "threads=" << threads;
         EXPECT_EQ(serial.phase, parallel.phase) << "threads=" << threads;
+    }
+}
+
+TEST_P(SpanDeterminism, UntracedPhaseMatchesTracedAcrossSimThreads) {
+    const std::string proto = GetParam();
+    const Stream traced = run(proto, 1);
+    ASSERT_FALSE(traced.phase.empty()) << "no request span completed in the window";
+    for (unsigned threads : {1u, 2u, 8u}) {
+        std::unique_ptr<Deployment> d = build(proto, threads);
+        ASSERT_EQ(d->simulator().trace(), nullptr);
+        Measured m = run_closed_loop(*d, echo_ops(64), sim::kMillisecond,
+                                     3 * sim::kMillisecond);
+        EXPECT_EQ(m.span_events_stored, 0u) << "threads=" << threads;
+        EXPECT_EQ(traced.completed, m.completed) << "threads=" << threads;
+        EXPECT_EQ(traced.phase, m.phase) << "threads=" << threads;
     }
 }
 
