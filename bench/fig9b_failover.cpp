@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "harness/runner.hpp"
+#include "scenario/scenario.hpp"
 
 using namespace neo;
 using namespace neo::bench;
@@ -47,21 +48,12 @@ std::map<std::string, double> run_failover(RunCtx& ctx) {
         rngs->emplace_back(ctx.seed() + 1'000'003, static_cast<std::uint64_t>(c));
     }
 
-    auto issue = std::make_shared<std::function<void(int)>>();
-    *issue = [&d, issue, per_client, rngs](int c) {
-        if (d->simulator().now() >= kEnd) return;
-        d->invoke(c, (*rngs)[static_cast<std::size_t>(c)].bytes(64),
-                  [&d, issue, per_client, c](Bytes) {
-                      auto& row = (*per_client)[static_cast<std::size_t>(c)];
-                      auto idx = static_cast<std::size_t>(d->simulator().now() / kBucket);
-                      if (idx < row.size()) ++row[idx];
-                      (*issue)(c);
-                  });
-    };
-    for (int c = 0; c < p.n_clients; ++c) (*issue)(c);
-
-    sim.run_until(kFailAt);
-    d->inject_sequencer_failure();
+    start_closed_loop(
+        *d, [rngs](int c, std::uint64_t) { return (*rngs)[static_cast<std::size_t>(c)].bytes(64); },
+        kEnd, [per_client](int c, sim::Time, sim::Time end) {
+            ++(*per_client)[static_cast<std::size_t>(c)][static_cast<std::size_t>(end / kBucket)];
+        });
+    scenario::apply(scenario::seq_stall(kFailAt), *d);
     sim.run_until(kEnd);
 
     std::vector<std::uint64_t> buckets(nbuckets, 0);

@@ -1,5 +1,6 @@
 #include "harness.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -18,17 +19,13 @@
 #include "harness/runner.hpp"
 #include "neobft/client.hpp"
 #include "neobft/replica.hpp"
+#include "neobft/shard_client.hpp"
 #include "obs/critical_path.hpp"
 #include "scenario/byz_sequencer.hpp"
 
 namespace neo::bench {
 
 namespace {
-constexpr NodeId kConfigId = 900;
-constexpr NodeId kSwitchBase = 910;
-constexpr NodeId kServerId = 950;
-constexpr NodeId kClientBase = 1'000;
-constexpr NodeId kReplicaBase = 1;
 constexpr GroupId kGroup = 7;
 }  // namespace
 
@@ -42,6 +39,43 @@ OpGen echo_ops(std::size_t size) {
                       0xec5e0000u ^ k);
         return rng.bytes(size);
     };
+}
+
+namespace {
+
+/// One self-rescheduling issue chain per client. The chain holds itself
+/// weakly (a strong self-capture is a cycle that never frees); each
+/// in-flight request's callback holds it strongly.
+class ClosedLoop : public std::enable_shared_from_this<ClosedLoop> {
+  public:
+    ClosedLoop(Deployment& d, OpGen ops, sim::Time deadline, OnDone on_done)
+        : d_(d), ops_(std::move(ops)), deadline_(deadline), on_done_(std::move(on_done)),
+          next_k_(static_cast<std::size_t>(d.n_clients()), 0) {}
+
+    void issue(int c) {
+        sim::Time begin = d_.simulator().now();
+        if (begin >= deadline_) return;
+        std::uint64_t k = next_k_[static_cast<std::size_t>(c)]++;
+        d_.invoke(c, ops_(c, k), [self = shared_from_this(), begin, c](Bytes) {
+            sim::Time end = self->d_.simulator().now();
+            if (end < self->deadline_) self->on_done_(c, begin, end);
+            self->issue(c);
+        });
+    }
+
+  private:
+    Deployment& d_;
+    OpGen ops_;
+    sim::Time deadline_;
+    OnDone on_done_;
+    std::vector<std::uint64_t> next_k_;  // slot c touched only by client c
+};
+
+}  // namespace
+
+void start_closed_loop(Deployment& d, OpGen ops, sim::Time deadline, OnDone on_done) {
+    auto loop = std::make_shared<ClosedLoop>(d, std::move(ops), deadline, std::move(on_done));
+    for (int c = 0; c < d.n_clients(); ++c) loop->issue(c);
 }
 
 Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim::Time measure,
@@ -95,29 +129,12 @@ Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim:
     const std::size_t nclients = static_cast<std::size_t>(d.n_clients());
     auto hists = std::make_shared<std::vector<Histogram>>(nclients);
     auto completed = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
-    auto per_client_k = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
-
-    // One self-rescheduling closed loop per client. The loop refers to
-    // itself weakly (a strong self-capture is a cycle that never frees);
-    // each in-flight request's callback holds it strongly.
-    auto issue = std::make_shared<std::function<void(int)>>();
-    *issue = [&d, &ops, self = std::weak_ptr(issue), hists, completed, per_client_k,
-              measure_from, deadline](int c) {
-        sim::Simulator& s = d.simulator();
-        if (s.now() >= deadline) return;
-        std::uint64_t k = (*per_client_k)[static_cast<std::size_t>(c)]++;
-        sim::Time begin = s.now();
-        d.invoke(c, ops(c, k), [&d, issue = self.lock(), hists, completed, measure_from,
-                                deadline, begin, c](Bytes) {
-            sim::Time end = d.simulator().now();
-            if (begin >= measure_from && end < deadline) {
-                (*hists)[static_cast<std::size_t>(c)].add(sim::to_us(end - begin));
-                ++(*completed)[static_cast<std::size_t>(c)];
-            }
-            (*issue)(c);
-        });
-    };
-    for (int c = 0; c < d.n_clients(); ++c) (*issue)(c);
+    start_closed_loop(d, ops, deadline,
+                      [hists, completed, measure_from](int c, sim::Time begin, sim::Time end) {
+                          if (begin < measure_from) return;
+                          (*hists)[static_cast<std::size_t>(c)].add(sim::to_us(end - begin));
+                          ++(*completed)[static_cast<std::size_t>(c)];
+                      });
 
     sim.run_until(deadline);
     span_src.set_span_consumer(nullptr);
@@ -306,452 +323,306 @@ void ObsSession::flush() {
     }
 }
 
-// ----------------------------------------------------------- unreplicated
+// ---------------------------------------------------------- deployment core
+
+Topology::Topology(const CommonParams& p, bool aom,
+                   sim::Simulator::PlacementFn default_placement)
+    : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1) {
+    // Installed before the first add_node, so it governs every node.
+    sim_.set_placement(p.placement ? p.placement : std::move(default_placement));
+    if (aom) keys_.emplace(p.seed + 2);
+    net_.set_default_link(sim::datacenter_link());
+    net_.set_global_drop_rate(p.drop_rate);
+    auditor_.configure(sim_.partitions() + 1);
+}
+
+Topology::~Topology() {
+    // Reverse adoption order, as members would be: coordinators and clients
+    // go before the replicas, config service and switches they point at.
+    while (!owned_.empty()) owned_.pop_back();
+}
+
+std::vector<NodeId> Topology::replica_ids() const {
+    std::vector<NodeId> out;
+    for (const ReplicaHooks& r : replicas_) out.push_back(r.id);
+    return out;
+}
+
+Topology::ReplicaHooks* Topology::find_replica(NodeId id) {
+    for (ReplicaHooks& r : replicas_) {
+        if (r.id == id) return &r;
+    }
+    return nullptr;
+}
+
+crypto::CostMeter* Topology::replica_meter(NodeId id) {
+    ReplicaHooks* r = find_replica(id);
+    return r ? r->meter : nullptr;
+}
+
+bool Topology::set_crashed(NodeId id, bool down) {
+    ReplicaHooks* r = find_replica(id);
+    if (!r || !r->set_crashed) return false;
+    r->set_crashed(down);
+    return true;
+}
+
+bool Topology::set_equivocate(NodeId id, bool on) {
+    ReplicaHooks* r = find_replica(id);
+    if (!r) return false;
+    r->set_equivocate(on);
+    return true;
+}
+
+bool Topology::sequencer_fault(const SeqFault& f) {
+    using scenario::FaultKind;
+    if (f.kind == FaultKind::kSeqStall) {
+        if (switches_.empty()) return false;
+        switches_[0]->set_stall(f.on);
+        return true;
+    }
+    // Every switch, so the fault survives failover to the standby (the
+    // adversary compromised the sequencing layer, not one box).
+    for (scenario::ByzSequencer* sw : byz_switches_) {
+        scenario::ByzSequencer::Faults faults = sw->faults();
+        std::uint32_t mod = f.on ? f.mod : 0;
+        switch (f.kind) {
+            case FaultKind::kSeqDrop: faults.drop_mod = mod; break;
+            case FaultKind::kSeqDuplicate: faults.dup_mod = mod; break;
+            case FaultKind::kSeqCorrupt: faults.corrupt_mod = mod; break;
+            case FaultKind::kSeqStripSig: faults.strip_sig_mod = mod; break;
+            case FaultKind::kSeqEquivocate: faults.equivocate_mod = mod; break;
+            default: return false;
+        }
+        sw->set_faults(faults);
+    }
+    return !byz_switches_.empty();
+}
+
+std::uint64_t Topology::failovers() const {
+    return config_ ? config_->failovers_performed() : 0;
+}
+
+bool Topology::abandon_coordinator(int client) {
+    if (coordinators_.empty()) return false;
+    coordinators_[static_cast<std::size_t>(client)]->abandon();
+    return true;
+}
+
+Deployment::TxnTotals Topology::txn_totals() const {
+    TxnTotals t;
+    for (const neobft::ShardClient* sc : coordinators_) {
+        const neobft::ShardClient::Stats& s = sc->stats();
+        t.txns_started += s.txns_started;
+        t.committed_txns += s.committed_txns;
+        t.aborted_txns += s.aborted_txns;
+        t.committed_ops += s.committed_ops;
+        t.cross_shard_txns += s.cross_shard_txns;
+    }
+    return t;
+}
 
 namespace {
 
-class UnreplicatedDeployment : public Deployment {
-  public:
-    explicit UnreplicatedDeployment(const CommonParams& p)
-        : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1) {
-        net_.set_default_link(sim::datacenter_link());
-        net_.set_global_drop_rate(p.drop_rate);
-        auditor_.configure(sim_.partitions() + 1);
-        server_ = std::make_unique<baselines::UnreplicatedServer>(root_.provision(kServerId));
-        server_->set_auditor(&auditor_);
-        net_.add_node(*server_, kServerId);
-        for (int i = 0; i < p.n_clients; ++i) {
-            NodeId cid = kClientBase + static_cast<NodeId>(i);
-            clients_.push_back(std::make_unique<baselines::UnreplicatedClient>(
-                kServerId, root_.provision(cid)));
-            net_.add_node(*clients_.back(), cid);
-        }
-    }
-
-    sim::Simulator& simulator() override { return sim_; }
-    sim::Network& network() override { return net_; }
-    int n_clients() const override { return static_cast<int>(clients_.size()); }
-    void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
-        clients_[static_cast<std::size_t>(client)]->invoke(std::move(op), std::move(done));
-    }
-
-    void register_obs(obs::Registry& reg, const std::string& prefix,
-                      obs::TraceSink* trace) override {
-        net_.register_metrics(reg, prefix + ".net");
-        server_->register_rx_metrics(reg, prefix + ".server", &baselines::kind_name);
-        if (trace) {
-            trace->set_node_name(kServerId, "server");
-            for (const auto& c : clients_) {
-                trace->set_node_name(c->id(), "client " + std::to_string(c->id()));
-            }
-        }
-    }
-
-  private:
-    sim::Simulator sim_;
-    sim::Network net_;
-    crypto::TrustRoot root_;
-    std::unique_ptr<baselines::UnreplicatedServer> server_;
-    std::vector<std::unique_ptr<baselines::UnreplicatedClient>> clients_;
-};
-
-// ----------------------------------------------------------------- NeoBFT
-
-class NeoDeployment : public Deployment {
-  public:
-    explicit NeoDeployment(const NeoParams& p)
-        : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1), keys_(p.seed + 2) {
-        if (p.placement) sim_.set_placement(p.placement);
-        net_.set_default_link(sim::datacenter_link());
-        net_.set_global_drop_rate(p.drop_rate);
-
-        neobft::Config cfg;
-        cfg.f = (p.n_replicas - 1) / 3;
-        cfg.group = kGroup;
-        cfg.config_service = kConfigId;
-        cfg.sync_interval = p.sync_interval;
-        cfg.checkpoint_interval = p.checkpoint_interval;
-        for (int i = 0; i < p.n_replicas; ++i) {
-            cfg.replicas.push_back(kReplicaBase + static_cast<NodeId>(i));
-        }
-
-        aom::GroupConfig group;
-        group.group = kGroup;
-        group.variant =
-            p.variant == NeoVariant::kPk ? aom::AuthVariant::kPublicKey : aom::AuthVariant::kHmacVector;
-        group.trust = p.variant == NeoVariant::kBn ? aom::NetworkTrust::kByzantine
-                                                   : aom::NetworkTrust::kCrashOnly;
-        group.f = cfg.f;
-        group.receivers = cfg.replicas;
-
-        aom::SequencerConfig seq_cfg =
-            p.software_sequencer ? aom::SequencerConfig::software_profile() : aom::SequencerConfig{};
-        for (int s = 0; s < 2; ++s) {
-            NodeId sid = kSwitchBase + static_cast<NodeId>(s);
-            if (p.byz_sequencer) {
-                auto sw = std::make_unique<scenario::ByzSequencer>(seq_cfg, root_.provision(sid),
-                                                                   &keys_);
-                byz_switches_.push_back(sw.get());
-                switches_.push_back(std::move(sw));
-            } else {
-                switches_.push_back(
-                    std::make_unique<aom::SequencerSwitch>(seq_cfg, root_.provision(sid), &keys_));
-            }
-            net_.add_node(*switches_.back(), sid);
-        }
-        std::vector<aom::SequencerSwitch*> pool;
-        for (auto& sw : switches_) pool.push_back(sw.get());
-        config_ = std::make_unique<aom::ConfigService>(&keys_, pool);
-        net_.add_node(*config_, kConfigId);
-        config_->register_group(group);
-
-        auto app_factory = p.app_factory
-                               ? p.app_factory
-                               : [] { return std::make_unique<app::EchoApp>(); };
-        auditor_.configure(sim_.partitions() + 1);
-        for (NodeId rid : cfg.replicas) {
-            auto rep = std::make_unique<neobft::Replica>(cfg, root_.provision(rid), &keys_,
-                                                         app_factory(), p.receiver);
-            rep->set_auditor(&auditor_);
-            net_.add_node(*rep, rid);
-            rep->bootstrap(group, config_->current_sequencer(kGroup));
-            replicas_.push_back(std::move(rep));
-        }
-        for (int i = 0; i < p.n_clients; ++i) {
-            NodeId cid = kClientBase + static_cast<NodeId>(i);
-            clients_.push_back(
-                std::make_unique<neobft::Client>(cfg, root_.provision(cid), config_.get()));
-            net_.add_node(*clients_.back(), cid);
-        }
-    }
-
-    sim::Simulator& simulator() override { return sim_; }
-    sim::Network& network() override { return net_; }
-    int n_clients() const override { return static_cast<int>(clients_.size()); }
-    void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
-        clients_[static_cast<std::size_t>(client)]->invoke(std::move(op), std::move(done));
-    }
-
-    std::vector<NodeId> replica_ids() const override {
-        std::vector<NodeId> out;
-        for (const auto& r : replicas_) out.push_back(r->id());
-        return out;
-    }
-    crypto::CostMeter* replica_meter(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) return &r->node_crypto().meter();
-        }
-        return nullptr;
-    }
-
-    void inject_sequencer_failure() override { switches_[0]->set_stall(true); }
-    std::uint64_t failovers() const override { return config_->failovers_performed(); }
-
-    bool crash_replica(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->crash();
-                return true;
-            }
-        }
-        return false;
-    }
-    bool recover_replica(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->recover();
-                return true;
-            }
-        }
-        return false;
-    }
-    bool set_replica_equivocate(NodeId id, bool on) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->set_equivocate(on);
-                return true;
-            }
-        }
-        return false;
-    }
-    bool sequencer_fault(const scenario::Adapter::SeqFault& f) override {
-        using scenario::FaultKind;
-        if (f.kind == FaultKind::kSeqStall) {
-            // Stall is supported by the stock switch too.
-            for (auto& sw : switches_) sw->set_stall(f.on);
-            return true;
-        }
-        if (byz_switches_.empty()) return false;
-        // Apply to every switch so the fault survives failover to the
-        // standby (the adversary compromised the sequencing layer, not one
-        // box).
-        for (scenario::ByzSequencer* sw : byz_switches_) {
-            scenario::ByzSequencer::Faults faults = sw->faults();
-            std::uint32_t mod = f.on ? f.mod : 0;
-            switch (f.kind) {
-                case FaultKind::kSeqDrop: faults.drop_mod = mod; break;
-                case FaultKind::kSeqDuplicate: faults.dup_mod = mod; break;
-                case FaultKind::kSeqCorrupt: faults.corrupt_mod = mod; break;
-                case FaultKind::kSeqStripSig: faults.strip_sig_mod = mod; break;
-                case FaultKind::kSeqEquivocate: faults.equivocate_mod = mod; break;
-                default: return false;
-            }
-            sw->set_faults(faults);
-        }
-        return true;
-    }
-    std::uint64_t client_completed(int c) const override {
-        return clients_[static_cast<std::size_t>(c)]->completed();
-    }
-
-    void register_obs(obs::Registry& reg, const std::string& prefix,
-                      obs::TraceSink* trace) override {
-        net_.register_metrics(reg, prefix + ".net");
-        for (auto& r : replicas_) {
-            r->register_metrics(reg, prefix + ".replica." + std::to_string(r->id()));
-        }
-        for (std::size_t s = 0; s < switches_.size(); ++s) {
-            switches_[s]->register_metrics(reg, prefix + ".sequencer." + std::to_string(s));
-        }
-        if (trace) {
-            for (const auto& r : replicas_) {
-                trace->set_node_name(r->id(), "replica " + std::to_string(r->id()));
-            }
-            for (std::size_t s = 0; s < switches_.size(); ++s) {
-                trace->set_node_name(switches_[s]->id(), "sequencer " + std::to_string(s));
-            }
-            trace->set_node_name(kConfigId, "config service");
-            for (const auto& c : clients_) {
-                trace->set_node_name(c->id(), "client " + std::to_string(c->id()));
-            }
-        }
-    }
-
-    const std::vector<std::unique_ptr<neobft::Replica>>& replicas() const { return replicas_; }
-
-  private:
-    sim::Simulator sim_;
-    sim::Network net_;
-    crypto::TrustRoot root_;
-    aom::AomKeyService keys_;
-    std::vector<std::unique_ptr<aom::SequencerSwitch>> switches_;
-    std::vector<scenario::ByzSequencer*> byz_switches_;
-    std::unique_ptr<aom::ConfigService> config_;
-    std::vector<std::unique_ptr<neobft::Replica>> replicas_;
-    std::vector<std::unique_ptr<neobft::Client>> clients_;
-};
-
-// -------------------------------------------------------------- baselines
-
-template <typename ReplicaT, typename CfgT>
-class BaselineDeployment : public Deployment {
-  public:
-    BaselineDeployment(const CommonParams& p, int n_replicas, std::size_t client_quorum,
-                       const std::function<std::unique_ptr<ReplicaT>(
-                           const CfgT&, std::unique_ptr<crypto::NodeCrypto>)>& make_replica)
-        : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1) {
-        net_.set_default_link(sim::datacenter_link());
-        net_.set_global_drop_rate(p.drop_rate);
-
-        cfg_.f = (p.n_replicas - 1) / 3;
-        cfg_.batch_max = p.batch_max;
-        cfg_.batch_delay = p.batch_delay;
-        for (int i = 0; i < n_replicas; ++i) {
-            cfg_.replicas.push_back(kReplicaBase + static_cast<NodeId>(i));
-        }
-        auditor_.configure(sim_.partitions() + 1);
-        for (NodeId rid : cfg_.replicas) {
-            auto rep = make_replica(cfg_, root_.provision(rid));
-            if (p.baseline_app_factory) rep->set_app(p.baseline_app_factory());
-            rep->set_auditor(&auditor_);
-            net_.add_node(*rep, rid);
-            replicas_.push_back(std::move(rep));
-        }
-        for (int i = 0; i < p.n_clients; ++i) {
-            NodeId cid = kClientBase + static_cast<NodeId>(i);
-            clients_.push_back(std::make_unique<baselines::QuorumClient>(
-                cfg_, root_.provision(cid), client_quorum));
-            net_.add_node(*clients_.back(), cid);
-        }
-    }
-
-    sim::Simulator& simulator() override { return sim_; }
-    sim::Network& network() override { return net_; }
-    int n_clients() const override { return static_cast<int>(clients_.size()); }
-    void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
-        clients_[static_cast<std::size_t>(client)]->invoke(std::move(op), std::move(done));
-    }
-    std::vector<NodeId> replica_ids() const override { return cfg_.replicas; }
-    crypto::CostMeter* replica_meter(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) return &r->node_crypto().meter();
-        }
-        return nullptr;
-    }
-    bool set_replica_equivocate(NodeId id, bool on) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->set_equivocate(on);
-                return true;
-            }
-        }
-        return false;
-    }
-    std::uint64_t client_completed(int c) const override {
-        return clients_[static_cast<std::size_t>(c)]->completed();
-    }
-
-    void register_obs(obs::Registry& reg, const std::string& prefix,
-                      obs::TraceSink* trace) override {
-        net_.register_metrics(reg, prefix + ".net");
-        for (auto& r : replicas_) {
-            r->register_metrics(reg, prefix + ".replica." + std::to_string(r->id()));
-        }
-        if (trace) {
-            for (const auto& r : replicas_) {
-                trace->set_node_name(r->id(), "replica " + std::to_string(r->id()));
-            }
-            for (const auto& c : clients_) {
-                trace->set_node_name(c->id(), "client " + std::to_string(c->id()));
-            }
-        }
-    }
-
-    CfgT cfg_;
-    sim::Simulator sim_;
-    sim::Network net_;
-    crypto::TrustRoot root_;
-    std::vector<std::unique_ptr<ReplicaT>> replicas_;
-    std::vector<std::unique_ptr<baselines::QuorumClient>> clients_;
-};
-
-class ZyzzyvaDeployment : public Deployment {
-  public:
-    explicit ZyzzyvaDeployment(const ZyzzyvaParams& p)
-        : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1) {
-        net_.set_default_link(sim::datacenter_link());
-        net_.set_global_drop_rate(p.drop_rate);
-        cfg_.f = (p.n_replicas - 1) / 3;
-        cfg_.batch_max = p.batch_max;
-        cfg_.batch_delay = p.batch_delay;
-        for (int i = 0; i < p.n_replicas; ++i) {
-            cfg_.replicas.push_back(kReplicaBase + static_cast<NodeId>(i));
-        }
-        auditor_.configure(sim_.partitions() + 1);
-        for (NodeId rid : cfg_.replicas) {
-            auto rep = std::make_unique<baselines::ZyzzyvaReplica>(cfg_, root_.provision(rid));
-            if (p.baseline_app_factory) rep->set_app(p.baseline_app_factory());
-            rep->set_auditor(&auditor_);
-            net_.add_node(*rep, rid);
-            replicas_.push_back(std::move(rep));
-        }
-        if (p.faulty_replica) replicas_.back()->set_silent(true);
-        for (int i = 0; i < p.n_clients; ++i) {
-            NodeId cid = kClientBase + static_cast<NodeId>(i);
-            clients_.push_back(
-                std::make_unique<baselines::ZyzzyvaClient>(cfg_, root_.provision(cid)));
-            net_.add_node(*clients_.back(), cid);
-        }
-    }
-
-    sim::Simulator& simulator() override { return sim_; }
-    sim::Network& network() override { return net_; }
-    int n_clients() const override { return static_cast<int>(clients_.size()); }
-    void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
-        clients_[static_cast<std::size_t>(client)]->invoke(std::move(op), std::move(done));
-    }
-    std::vector<NodeId> replica_ids() const override { return cfg_.replicas; }
-    crypto::CostMeter* replica_meter(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) return &r->node_crypto().meter();
-        }
-        return nullptr;
-    }
-    bool set_replica_equivocate(NodeId id, bool on) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) {
-                r->set_equivocate(on);
-                return true;
-            }
-        }
-        return false;
-    }
-    std::uint64_t client_completed(int c) const override {
-        return clients_[static_cast<std::size_t>(c)]->completed();
-    }
-
-    void register_obs(obs::Registry& reg, const std::string& prefix,
-                      obs::TraceSink* trace) override {
-        net_.register_metrics(reg, prefix + ".net");
-        for (auto& r : replicas_) {
-            r->register_metrics(reg, prefix + ".replica." + std::to_string(r->id()));
-        }
-        if (trace) {
-            for (const auto& r : replicas_) {
-                trace->set_node_name(r->id(), "replica " + std::to_string(r->id()));
-            }
-            for (const auto& c : clients_) {
-                trace->set_node_name(c->id(), "client " + std::to_string(c->id()));
-            }
-        }
-    }
-
-  private:
-    baselines::ZyzzyvaConfig cfg_;
-    sim::Simulator sim_;
-    sim::Network net_;
-    crypto::TrustRoot root_;
-    std::vector<std::unique_ptr<baselines::ZyzzyvaReplica>> replicas_;
-    std::vector<std::unique_ptr<baselines::ZyzzyvaClient>> clients_;
-};
+/// The trace track of node `id` under the shared id layout; its metrics key
+/// is the same name with the space made a dot ("replica.3", "sequencer.0").
+std::string node_name(NodeId id) {
+    if (id >= Topology::kClientBase) return "client " + std::to_string(id);
+    if (id == Topology::kServerId) return "server";
+    if (id == Topology::kConfigId) return "config service";
+    if (id >= Topology::kSwitchBase) return "sequencer " + std::to_string(id - Topology::kSwitchBase);
+    return "replica " + std::to_string(id);
+}
 
 }  // namespace
 
+void Topology::register_obs(obs::Registry& reg, const std::string& prefix,
+                            obs::TraceSink* trace) {
+    net_.register_metrics(reg, prefix + ".net");
+    for (const auto& [id, fn] : metrics_) {
+        std::string key = node_name(id);
+        std::replace(key.begin(), key.end(), ' ', '.');
+        fn(reg, prefix + "." + key);
+    }
+    if (trace) {
+        for (NodeId id : ids_) trace->set_node_name(id, node_name(id));
+    }
+}
+
+void Topology::add_coordinator(std::unique_ptr<neobft::ShardClient> coordinator) {
+    clients_.push_back({coordinator.get(), &invoke_client<neobft::ShardClient>});
+    coordinators_.push_back(&adopt(std::move(coordinator)));
+}
+
+aom::ConfigService& Topology::add_sequencers(int count, const aom::SequencerConfig& cfg,
+                                             bool byz) {
+    for (int s = 0; s < count; ++s) {
+        NodeId sid = kSwitchBase + static_cast<NodeId>(s);
+        aom::SequencerSwitch* sw;
+        if (byz) {
+            auto b = std::make_unique<scenario::ByzSequencer>(cfg, provision(sid), keys());
+            byz_switches_.push_back(b.get());
+            sw = &add_node(std::move(b), sid);
+        } else {
+            sw = &add_node(std::make_unique<aom::SequencerSwitch>(cfg, provision(sid), keys()),
+                           sid);
+        }
+        add_metrics(sid, [sw](obs::Registry& reg, const std::string& key) {
+            sw->register_metrics(reg, key);
+        });
+        switches_.push_back(sw);
+    }
+    config_ = &add_node(std::make_unique<aom::ConfigService>(keys(), switches_), kConfigId);
+    return *config_;
+}
+
+aom::GroupConfig neo_group(NeoVariant variant, GroupId group, std::vector<NodeId> receivers) {
+    aom::GroupConfig g;
+    g.group = group;
+    g.variant = variant == NeoVariant::kPk ? aom::AuthVariant::kPublicKey
+                                           : aom::AuthVariant::kHmacVector;
+    g.trust = variant == NeoVariant::kBn ? aom::NetworkTrust::kByzantine
+                                         : aom::NetworkTrust::kCrashOnly;
+    g.f = (static_cast<int>(receivers.size()) - 1) / 3;
+    g.receivers = std::move(receivers);
+    return g;
+}
+
+// -------------------------------------------------------------- factories
+
 std::unique_ptr<Deployment> make_unreplicated(const CommonParams& p) {
-    return std::make_unique<UnreplicatedDeployment>(p);
+    auto t = std::make_unique<Topology>(p, false);
+    const NodeId sid = Topology::kServerId;
+    auto& server =
+        t->add_node(std::make_unique<baselines::UnreplicatedServer>(t->provision(sid)), sid);
+    server.set_auditor(&t->auditor());
+    t->add_metrics(sid, [&server](obs::Registry& reg, const std::string& key) {
+        server.register_rx_metrics(reg, key, &baselines::kind_name);
+    });
+    for (int i = 0; i < p.n_clients; ++i) {
+        NodeId cid = Topology::kClientBase + static_cast<NodeId>(i);
+        t->add_client(std::make_unique<baselines::UnreplicatedClient>(sid, t->provision(cid)),
+                      cid);
+    }
+    return t;
 }
 
 std::unique_ptr<Deployment> make_neobft(const NeoParams& p) {
-    return std::make_unique<NeoDeployment>(p);
+    auto t = std::make_unique<Topology>(p, true);
+    neobft::Config cfg;
+    cfg.group = kGroup;
+    cfg.config_service = Topology::kConfigId;
+    cfg.sync_interval = p.sync_interval;
+    cfg.checkpoint_interval = p.checkpoint_interval;
+    for (int i = 0; i < p.n_replicas; ++i) {
+        cfg.replicas.push_back(Topology::kReplicaBase + static_cast<NodeId>(i));
+    }
+    aom::GroupConfig group = neo_group(p.variant, kGroup, cfg.replicas);
+    cfg.f = group.f;
+
+    aom::ConfigService& config = t->add_sequencers(
+        2, p.software_sequencer ? aom::SequencerConfig::software_profile() : aom::SequencerConfig{},
+        p.byz_sequencer);
+    config.register_group(group);
+
+    auto app_factory = p.app_factory
+                           ? p.app_factory
+                           : [] { return std::make_unique<app::EchoApp>(); };
+    for (NodeId rid : cfg.replicas) {
+        auto& rep = t->add_replica(std::make_unique<neobft::Replica>(cfg, t->provision(rid),
+                                                                     t->keys(), app_factory(),
+                                                                     p.receiver),
+                                   rid);
+        rep.bootstrap(group, config.current_sequencer(kGroup));
+    }
+    for (int i = 0; i < p.n_clients; ++i) {
+        NodeId cid = Topology::kClientBase + static_cast<NodeId>(i);
+        t->add_client(std::make_unique<neobft::Client>(cfg, t->provision(cid), &config), cid);
+    }
+    return t;
 }
 
+namespace {
+
+/// A leader-based baseline: `n` replicas `make_replica(cfg, crypto)` over
+/// one shared config (f from the 3f+1 convention on p.n_replicas), then
+/// p.n_clients clients `make_client(cfg, crypto)`.
+template <typename Cfg, typename MakeReplica, typename MakeClient>
+std::unique_ptr<Deployment> make_baseline(const CommonParams& p, int n, MakeReplica make_replica,
+                                          MakeClient make_client) {
+    auto t = std::make_unique<Topology>(p, false);
+    Cfg cfg;
+    cfg.f = (p.n_replicas - 1) / 3;
+    cfg.batch_max = p.batch_max;
+    cfg.batch_delay = p.batch_delay;
+    for (int i = 0; i < n; ++i) cfg.replicas.push_back(Topology::kReplicaBase + static_cast<NodeId>(i));
+    for (NodeId rid : cfg.replicas) {
+        auto rep = make_replica(cfg, t->provision(rid));
+        if (p.baseline_app_factory) rep->set_app(p.baseline_app_factory());
+        t->add_replica(std::move(rep), rid);
+    }
+    for (int i = 0; i < p.n_clients; ++i) {
+        NodeId cid = Topology::kClientBase + static_cast<NodeId>(i);
+        t->add_client(make_client(cfg, t->provision(cid)), cid);
+    }
+    return t;
+}
+
+/// The leader-based baselines' client: accepts a result once f+1 replicas
+/// agree on it.
+auto quorum_client(const CommonParams& p) {
+    auto quorum = static_cast<std::size_t>((p.n_replicas - 1) / 3 + 1);
+    return [quorum](const baselines::BaseConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
+        return std::make_unique<baselines::QuorumClient>(cfg, std::move(c), quorum);
+    };
+}
+
+}  // namespace
+
 std::unique_ptr<Deployment> make_pbft(const CommonParams& p) {
-    int f = (p.n_replicas - 1) / 3;
-    return std::make_unique<BaselineDeployment<baselines::PbftReplica, baselines::PbftConfig>>(
-        p, p.n_replicas, static_cast<std::size_t>(f + 1),
+    return make_baseline<baselines::PbftConfig>(
+        p, p.n_replicas,
         [](const baselines::PbftConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
             return std::make_unique<baselines::PbftReplica>(cfg, std::move(c));
-        });
+        },
+        quorum_client(p));
 }
 
 std::unique_ptr<Deployment> make_zyzzyva(const ZyzzyvaParams& p) {
-    return std::make_unique<ZyzzyvaDeployment>(p);
+    return make_baseline<baselines::ZyzzyvaConfig>(
+        p, p.n_replicas,
+        [&p](const baselines::ZyzzyvaConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
+            auto rep = std::make_unique<baselines::ZyzzyvaReplica>(cfg, std::move(c));
+            // Zyzzyva-F: the last replica ignores every message.
+            if (p.faulty_replica && rep->node_crypto().self() == cfg.replicas.back()) {
+                rep->set_silent(true);
+            }
+            return rep;
+        },
+        [](const baselines::ZyzzyvaConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
+            return std::make_unique<baselines::ZyzzyvaClient>(cfg, std::move(c));
+        });
 }
 
 std::unique_ptr<Deployment> make_hotstuff(const CommonParams& p) {
-    int f = (p.n_replicas - 1) / 3;
-    return std::make_unique<
-        BaselineDeployment<baselines::HotStuffReplica, baselines::HotStuffConfig>>(
-        p, p.n_replicas, static_cast<std::size_t>(f + 1),
+    return make_baseline<baselines::HotStuffConfig>(
+        p, p.n_replicas,
         [](const baselines::HotStuffConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
             return std::make_unique<baselines::HotStuffReplica>(cfg, std::move(c));
-        });
+        },
+        quorum_client(p));
 }
 
 std::unique_ptr<Deployment> make_minbft(const CommonParams& p) {
+    // Same f as the 3f+1 protocols, but 2f+1 replicas.
     int f = (p.n_replicas - 1) / 3;
-    int n = 2 * f + 1;
     std::uint64_t usig_seed = p.seed + 7;
-    auto d = std::make_unique<
-        BaselineDeployment<baselines::MinbftReplica, baselines::MinbftConfig>>(
-        p, n, static_cast<std::size_t>(f + 1),
+    return make_baseline<baselines::MinbftConfig>(
+        p, 2 * f + 1,
         [usig_seed](const baselines::MinbftConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
             return std::make_unique<baselines::MinbftReplica>(cfg, std::move(c), usig_seed);
-        });
-    // BaselineDeployment computed f from n_replicas (3f+1 convention); MinBFT
-    // keeps the same f but with 2f+1 replicas.
-    d->cfg_.f = f;
-    return d;
+        },
+        quorum_client(p));
 }
 
 // ------------------------------------------------------------------ output

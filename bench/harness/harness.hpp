@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "apps/ycsb.hpp"
 #include "common/bytes.hpp"
 #include "common/histogram.hpp"
+#include "aom/keys.hpp"
 #include "aom/receiver.hpp"
 #include "crypto/identity.hpp"
 #include "obs/auditor.hpp"
@@ -23,6 +25,18 @@
 #include "obs/trace.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/network.hpp"
+
+namespace neo::aom {
+class ConfigService;
+class SequencerSwitch;
+struct SequencerConfig;
+}  // namespace neo::aom
+namespace neo::neobft {
+class ShardClient;
+}
+namespace neo::scenario {
+class ByzSequencer;
+}
 
 namespace neo::bench {
 
@@ -54,35 +68,22 @@ struct Measured {
     std::size_t span_events_stored = 0;
 };
 
-/// Type-erased running system: owns all nodes; the driver only needs
-/// per-client invoke().
-class Deployment {
+/// A running system, and the scenario engine's Adapter onto it: it owns
+/// every node; the driver only needs per-client invoke(). Topology (below)
+/// is the one concrete deployment. A decorator may override just
+/// simulator(), network(), n_clients() and invoke(); every other hook
+/// defaults to "none" (and the scenario hooks to "unsupported").
+class Deployment : public scenario::Adapter {
   public:
-    virtual ~Deployment() = default;
-    virtual sim::Simulator& simulator() = 0;
-    virtual sim::Network& network() = 0;
     virtual int n_clients() const = 0;
     virtual void invoke(int client, Bytes op, std::function<void(Bytes)> done) = 0;
 
     /// Replica instrumentation for the Table 1 reproduction.
-    virtual std::vector<NodeId> replica_ids() const { return {}; }
+    std::vector<NodeId> replica_ids() const override { return {}; }
     virtual crypto::CostMeter* replica_meter(NodeId) { return nullptr; }
 
-    /// Fault-injection hooks (used by the failover benchmark; no-ops for
-    /// protocols without a sequencer).
-    virtual void inject_sequencer_failure() {}
+    /// Sequencer failovers the config service performed (0 without one).
     virtual std::uint64_t failovers() const { return 0; }
-
-    /// Scenario-engine hooks (src/scenario). Defaults say "unsupported";
-    /// the engine degrades (crash -> fail-silent network window, sequencer
-    /// faults -> no-op). Only call from setup code or a global event.
-    virtual bool crash_replica(NodeId) { return false; }
-    virtual bool recover_replica(NodeId) { return false; }
-    virtual bool set_replica_equivocate(NodeId, bool) { return false; }
-    virtual bool sequencer_fault(const scenario::Adapter::SeqFault&) { return false; }
-    /// Requests this client has completed since construction (liveness
-    /// floor accounting; 0 when the deployment has no per-client counter).
-    virtual std::uint64_t client_completed(int) const { return 0; }
     /// Drops client's in-flight cross-shard transaction without a decision
     /// (coordinator crash between prepare and commit). Sharded only.
     virtual bool abandon_coordinator(int) { return false; }
@@ -101,38 +102,21 @@ class Deployment {
 
     /// Observability hook: publishes this deployment's counters under
     /// `prefix` and, when `trace` is non-null, names every node's track.
-    /// The base version covers the shared network counters; deployments
-    /// override to add per-replica / per-sequencer protocol metrics.
+    /// The base version covers the shared network counters.
     virtual void register_obs(obs::Registry& reg, const std::string& prefix,
                               obs::TraceSink* trace) {
         (void)trace;
         network().register_metrics(reg, prefix + ".net");
     }
 
-    /// Online safety-invariant monitor. Every deployment constructor sizes
-    /// it (partitions + 1 shards) and wires its replicas' reporting hooks,
-    /// so commit/execute ordering is audited on EVERY bench and test run;
-    /// run_closed_loop() finalizes it and aborts on any violation.
+    /// Online safety-invariant monitor. Topology sizes it (partitions + 1
+    /// shards) and wires its replicas' reporting hooks, so commit/execute
+    /// ordering is audited on EVERY bench and test run; run_closed_loop()
+    /// finalizes it and aborts on any violation.
     obs::Auditor& auditor() { return auditor_; }
 
   protected:
     obs::Auditor auditor_;
-};
-
-/// Bridges a Deployment to the scenario engine's Adapter interface.
-class ScenarioAdapter : public scenario::Adapter {
-  public:
-    explicit ScenarioAdapter(Deployment& d) : d_(d) {}
-    sim::Simulator& simulator() override { return d_.simulator(); }
-    sim::Network& network() override { return d_.network(); }
-    std::vector<NodeId> replica_ids() const override { return d_.replica_ids(); }
-    bool crash(NodeId n) override { return d_.crash_replica(n); }
-    bool recover(NodeId n) override { return d_.recover_replica(n); }
-    bool set_equivocate(NodeId n, bool on) override { return d_.set_replica_equivocate(n, on); }
-    bool sequencer_fault(const SeqFault& f) override { return d_.sequencer_fault(f); }
-
-  private:
-    Deployment& d_;
 };
 
 /// Generates the operation a client issues next (k = per-client op index).
@@ -146,6 +130,16 @@ OpGen echo_ops(std::size_t size);
 /// fires exactly when the measurement window opens — counter resets etc.
 Measured run_closed_loop(Deployment& d, const OpGen& ops, sim::Time warmup, sim::Time measure,
                          const std::function<void()>& at_measure_start = nullptr);
+
+/// Runs in client `c`'s completion context (possibly on a worker partition:
+/// touch only c's own state) for each request it issued at `begin` that
+/// completed at `end`, before the loop's deadline.
+using OnDone = std::function<void(int client, sim::Time begin, sim::Time end)>;
+
+/// The closed loop behind every driver: each client issues ops(c, 0),
+/// ops(c, 1), ... back to back until `deadline`. Call from setup code, then
+/// run the simulator.
+void start_closed_loop(Deployment& d, OpGen ops, sim::Time deadline, OnDone on_done);
 
 // ----------------------------------------------------------- observability
 
@@ -332,6 +326,153 @@ std::unique_ptr<Deployment> make_hotstuff(const CommonParams& p);
 /// MinBFT uses 2f+1 replicas; `n_replicas` is interpreted as f's 3f+1
 /// equivalent (n=4 -> f=1 -> 3 replicas) so sweeps stay uniform.
 std::unique_ptr<Deployment> make_minbft(const CommonParams& p);
+
+// ---------------------------------------------------------- deployment core
+
+/// The one concrete Deployment. It owns the plumbing every protocol shares:
+/// the simulator and its placement, the network, the trust root, the aom key
+/// service, the auditor, the sequencer switches and config service, and the
+/// per-replica hooks (cost meter, equivocate, crash/recover). It names every
+/// node's trace track and metrics from the node id. Each make_* factory
+/// supplies only its protocol's replicas and clients.
+class Topology final : public Deployment {
+  public:
+    /// Node id layout shared by every protocol. Ids below kConfigId are
+    /// replicas; switch s is kSwitchBase + s; clients start at kClientBase.
+    static constexpr NodeId kReplicaBase = 1;
+    static constexpr NodeId kConfigId = 900;
+    static constexpr NodeId kSwitchBase = 910;
+    static constexpr NodeId kServerId = 950;
+    static constexpr NodeId kClientBase = 1'000;
+
+    /// Builds the plumbing from `p`: the simulator (placement p.placement,
+    /// else `default_placement`, else id % nparts), the network (datacenter
+    /// link, p.drop_rate), the trust root, the auditor and, with `aom`, the
+    /// aom key service.
+    Topology(const CommonParams& p, bool aom,
+             sim::Simulator::PlacementFn default_placement = nullptr);
+    ~Topology() override;
+
+    sim::Simulator& simulator() override { return sim_; }
+    sim::Network& network() override { return net_; }
+    int n_clients() const override { return static_cast<int>(clients_.size()); }
+    void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
+        const ClientSlot& c = clients_[static_cast<std::size_t>(client)];
+        c.invoke(c.self, std::move(op), std::move(done));
+    }
+
+    std::vector<NodeId> replica_ids() const override;
+    crypto::CostMeter* replica_meter(NodeId id) override;
+    bool crash(NodeId id) override { return set_crashed(id, true); }
+    bool recover(NodeId id) override { return set_crashed(id, false); }
+    bool set_equivocate(NodeId id, bool on) override;
+    /// kSeqStall stalls switch 0, the first group's home sequencer, so the
+    /// config service fails the group over to a standby; the Byzantine
+    /// faults apply to every ByzSequencer switch.
+    bool sequencer_fault(const SeqFault& f) override;
+    std::uint64_t failovers() const override;
+    bool abandon_coordinator(int client) override;
+    TxnTotals txn_totals() const override;
+    void register_obs(obs::Registry& reg, const std::string& prefix,
+                      obs::TraceSink* trace) override;
+
+    // ---- building (setup code only, in the order the nodes should attach)
+
+    std::unique_ptr<crypto::NodeCrypto> provision(NodeId id) { return root_.provision(id); }
+    aom::AomKeyService* keys() { return keys_ ? &*keys_ : nullptr; }
+
+    /// Keeps `obj` alive until teardown, which runs in reverse order.
+    template <typename T>
+    T& adopt(std::unique_ptr<T> obj) {
+        T& ref = *obj;
+        owned_.emplace_back(std::move(obj));
+        return ref;
+    }
+    /// Adopts `node` and attaches it to the network as `id`.
+    template <typename N>
+    N& add_node(std::unique_ptr<N> node, NodeId id) {
+        N& ref = adopt(std::move(node));
+        net_.add_node(ref, id);
+        ids_.push_back(id);
+        return ref;
+    }
+    /// Registers node `id`'s counters: `fn(reg, key)` runs at register_obs
+    /// time with the node's metrics key.
+    void add_metrics(NodeId id,
+                     std::function<void(obs::Registry&, const std::string& key)> fn) {
+        metrics_.emplace_back(id, std::move(fn));
+    }
+    /// Adds a replica: audited, cost-metered, with its metrics and the
+    /// scenario hooks its type has (crash/recover only where it defines
+    /// recover()).
+    template <typename R>
+    R& add_replica(std::unique_ptr<R> replica, NodeId id) {
+        R& r = *replica;
+        r.set_auditor(&auditor_);
+        ReplicaHooks h{id, &r.node_crypto().meter(), [&r](bool on) { r.set_equivocate(on); },
+                       nullptr};
+        if constexpr (requires(R& x) { x.recover(); }) {
+            h.set_crashed = [&r](bool down) { down ? r.crash() : r.recover(); };
+        }
+        replicas_.push_back(std::move(h));
+        add_metrics(id, [&r](obs::Registry& reg, const std::string& key) {
+            r.register_metrics(reg, key);
+        });
+        return add_node(std::move(replica), id);
+    }
+    /// Adds a client node the driver invokes (client index = order added).
+    template <typename C>
+    C& add_client(std::unique_ptr<C> client, NodeId id) {
+        clients_.push_back({client.get(), &invoke_client<C>});
+        return add_node(std::move(client), id);
+    }
+    /// Adds a cross-shard 2PC coordinator the driver invokes (it drives
+    /// child client nodes added with add_node).
+    void add_coordinator(std::unique_ptr<neobft::ShardClient> coordinator);
+    /// Adds `count` sequencer switches (ByzSequencer when `byz`) and the
+    /// config service over them; returns the service.
+    aom::ConfigService& add_sequencers(int count, const aom::SequencerConfig& cfg, bool byz);
+
+  private:
+    /// A client behind a plain function pointer: invoke() costs no
+    /// std::function hop.
+    struct ClientSlot {
+        void* self;
+        void (*invoke)(void*, Bytes, std::function<void(Bytes)>);
+    };
+    template <typename C>
+    static void invoke_client(void* self, Bytes op, std::function<void(Bytes)> done) {
+        static_cast<C*>(self)->invoke(std::move(op), std::move(done));
+    }
+
+    struct ReplicaHooks {
+        NodeId id;
+        crypto::CostMeter* meter;
+        std::function<void(bool)> set_equivocate;
+        std::function<void(bool)> set_crashed;  // empty: no recovery lifecycle
+    };
+    ReplicaHooks* find_replica(NodeId id);
+    bool set_crashed(NodeId id, bool down);
+
+    sim::Simulator sim_;
+    sim::Network net_;
+    crypto::TrustRoot root_;
+    std::optional<aom::AomKeyService> keys_;
+    std::vector<std::shared_ptr<void>> owned_;  // in adoption order
+    std::vector<NodeId> ids_;                   // every attached node
+    std::vector<std::pair<NodeId, std::function<void(obs::Registry&, const std::string&)>>>
+        metrics_;
+    std::vector<ReplicaHooks> replicas_;
+    std::vector<ClientSlot> clients_;
+    std::vector<aom::SequencerSwitch*> switches_;
+    std::vector<scenario::ByzSequencer*> byz_switches_;
+    aom::ConfigService* config_ = nullptr;
+    std::vector<neobft::ShardClient*> coordinators_;
+};
+
+/// The aom group of one NeoBFT replica group: `variant`'s authentication
+/// and network trust, f = (n - 1) / 3 over `receivers`.
+aom::GroupConfig neo_group(NeoVariant variant, GroupId group, std::vector<NodeId> receivers);
 
 // ------------------------------------------------------------------ output
 

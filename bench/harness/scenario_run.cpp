@@ -38,26 +38,15 @@ ScenarioOutcome run_scenario(Deployment& d, const scenario::Scenario& sc, const 
     sim::Simulator& sim = d.simulator();
     const sim::Time deadline = sim.now() + duration;
 
-    // The adapter only needs to live until the last scheduled fault fires,
-    // which is inside run_until below.
-    ScenarioAdapter adapter(d);
-    scenario::apply(sc, adapter);
+    scenario::apply(sc, d);
 
-    // Closed loop, one chain per client. Per-client slots only (a done
-    // callback runs on that client's partition); merged after the run.
+    // Per-client slots only (a done callback runs on that client's
+    // partition); merged after the run.
     const std::size_t nclients = static_cast<std::size_t>(d.n_clients());
     auto completed = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
-    auto per_client_k = std::make_shared<std::vector<std::uint64_t>>(nclients, 0);
-    auto issue = std::make_shared<std::function<void(int)>>();
-    *issue = [&d, &ops, issue, completed, per_client_k, deadline](int c) {
-        if (d.simulator().now() >= deadline) return;
-        std::uint64_t k = (*per_client_k)[static_cast<std::size_t>(c)]++;
-        d.invoke(c, ops(c, k), [&d, issue, completed, deadline, c](Bytes) {
-            if (d.simulator().now() < deadline) ++(*completed)[static_cast<std::size_t>(c)];
-            (*issue)(c);
-        });
-    };
-    for (int c = 0; c < d.n_clients(); ++c) (*issue)(c);
+    start_closed_loop(d, ops, deadline, [completed](int c, sim::Time, sim::Time) {
+        ++(*completed)[static_cast<std::size_t>(c)];
+    });
 
     sim.run_until(deadline);
 

@@ -17,10 +17,6 @@ namespace neo::bench {
 
 namespace {
 
-constexpr NodeId kConfigId = 900;
-constexpr NodeId kSwitchBase = 910;
-constexpr NodeId kClientBase = 1'000;
-constexpr NodeId kReplicaBase = 1;
 constexpr GroupId kShardGroupBase = 7;
 
 /// Replica ids: shard s, index i -> 1 + 8s + i (max 8 replicas per shard).
@@ -28,197 +24,89 @@ constexpr NodeId kShardReplicaStride = 8;
 /// Client child ids: logical client c, shard s -> 1000 + 32c + s.
 constexpr NodeId kShardClientStride = 32;
 
-class ShardedNeoDeployment : public Deployment {
-  public:
-    explicit ShardedNeoDeployment(const ShardParams& p)
-        : sim_(p.sim_threads), net_(sim_, p.seed), root_(p.crypto_mode, p.seed + 1),
-          keys_(p.seed + 2) {
-        const int S = p.n_shards;
-        NEO_ASSERT(S >= 1 && S <= static_cast<int>(kShardClientStride));
-        NEO_ASSERT(p.n_replicas >= 1 && p.n_replicas <= static_cast<int>(kShardReplicaStride));
-        net_.set_default_link(sim::datacenter_link());
-        net_.set_global_drop_rate(p.drop_rate);
-
-        // Group-affine placement (installed before the first add_node): a
-        // shard's replicas and its home switch share a partition, and every
-        // child client of one logical client shares one — the ShardClient
-        // concurrency contract (its phase callbacks mutate shared
-        // coordinator state without locks).
-        sim_.set_placement(p.placement ? p.placement
-                                       : [](NodeId id, unsigned nparts) -> unsigned {
-            if (id >= kClientBase) {
-                return static_cast<unsigned>((id - kClientBase) / kShardClientStride) % nparts;
-            }
-            if (id >= kSwitchBase) return static_cast<unsigned>(id - kSwitchBase) % nparts;
-            if (id == kConfigId) return 0;
-            return static_cast<unsigned>((id - kReplicaBase) / kShardReplicaStride) % nparts;
-        });
-
-        // One group per shard over an even tiling of the 64-bit hash space.
-        std::vector<aom::GroupConfig> groups;
-        for (int s = 0; s < S; ++s) {
-            aom::GroupConfig g;
-            g.group = kShardGroupBase + static_cast<GroupId>(s);
-            g.variant = p.variant == NeoVariant::kPk ? aom::AuthVariant::kPublicKey
-                                                     : aom::AuthVariant::kHmacVector;
-            g.trust = p.variant == NeoVariant::kBn ? aom::NetworkTrust::kByzantine
-                                                   : aom::NetworkTrust::kCrashOnly;
-            g.f = (p.n_replicas - 1) / 3;
-            for (int i = 0; i < p.n_replicas; ++i) {
-                g.receivers.push_back(kReplicaBase + kShardReplicaStride * static_cast<NodeId>(s) +
-                                      static_cast<NodeId>(i));
-            }
-            groups.push_back(std::move(g));
-        }
-        groups = neobft::ShardRouter::assign_ranges(std::move(groups));
-        router_ = std::make_unique<neobft::ShardRouter>(groups);
-
-        // One home switch per shard plus a shared spare the failover
-        // round-robin can move any group onto.
-        for (int s = 0; s < S + 1; ++s) {
-            NodeId sid = kSwitchBase + static_cast<NodeId>(s);
-            switches_.push_back(std::make_unique<aom::SequencerSwitch>(
-                aom::SequencerConfig{}, root_.provision(sid), &keys_));
-            net_.add_node(*switches_.back(), sid);
-        }
-        std::vector<aom::SequencerSwitch*> pool;
-        for (auto& sw : switches_) pool.push_back(sw.get());
-        config_ = std::make_unique<aom::ConfigService>(&keys_, pool);
-        net_.add_node(*config_, kConfigId);
-        for (int s = 0; s < S; ++s) {
-            config_->register_group(groups[static_cast<std::size_t>(s)],
-                                    static_cast<std::size_t>(s));
-        }
-
-        auditor_.configure(sim_.partitions() + 1);
-        app::YcsbWorkload preload(p.dataset, p.seed);
-        for (int s = 0; s < S; ++s) {
-            const aom::GroupConfig& g = groups[static_cast<std::size_t>(s)];
-            neobft::Config cfg;
-            cfg.f = g.f;
-            cfg.group = g.group;
-            cfg.config_service = kConfigId;
-            cfg.sync_interval = p.sync_interval;
-            cfg.replicas = g.receivers;
-            shard_cfgs_.push_back(cfg);
-
-            for (NodeId rid : cfg.replicas) {
-                auto app = std::make_unique<app::KvStateMachine>();
-                if (s == p.byzantine_prepare_shard) {
-                    app->set_byzantine_prepare_equivocation(true);
-                }
-                app->set_wait_die(p.wait_die);
-                app->set_presumed_abort_after(p.presumed_abort_after);
-                if (p.dataset.record_count > 0) preload.load_into(*app);
-                auto rep = std::make_unique<neobft::Replica>(cfg, root_.provision(rid), &keys_,
-                                                             std::move(app), p.receiver);
-                rep->set_auditor(&auditor_);
-                net_.add_node(*rep, rid);
-                rep->bootstrap(g, config_->current_sequencer(g.group));
-                replicas_.push_back(std::move(rep));
-            }
-        }
-
-        for (int c = 0; c < p.n_clients; ++c) {
-            std::vector<neobft::Client*> children;
-            for (int s = 0; s < S; ++s) {
-                NodeId cid = kClientBase + kShardClientStride * static_cast<NodeId>(c) +
-                             static_cast<NodeId>(s);
-                auto child = std::make_unique<neobft::Client>(
-                    shard_cfgs_[static_cast<std::size_t>(s)], root_.provision(cid),
-                    config_.get());
-                net_.add_node(*child, cid);
-                children.push_back(child.get());
-                child_clients_.push_back(std::move(child));
-            }
-            shard_clients_.push_back(std::make_unique<neobft::ShardClient>(
-                router_.get(), std::move(children), static_cast<std::uint32_t>(c) + 1));
-        }
+/// Group-affine placement: a shard's replicas and its home switch share a
+/// partition, and every child client of one logical client shares one — the
+/// ShardClient concurrency contract (its phase callbacks mutate shared
+/// coordinator state without locks).
+unsigned group_affine(NodeId id, unsigned nparts) {
+    if (id >= Topology::kClientBase) {
+        return static_cast<unsigned>((id - Topology::kClientBase) / kShardClientStride) % nparts;
     }
-
-    sim::Simulator& simulator() override { return sim_; }
-    sim::Network& network() override { return net_; }
-    int n_clients() const override { return static_cast<int>(shard_clients_.size()); }
-    void invoke(int client, Bytes op, std::function<void(Bytes)> done) override {
-        shard_clients_[static_cast<std::size_t>(client)]->invoke(std::move(op),
-                                                                 std::move(done));
-    }
-    bool abandon_coordinator(int client) override {
-        shard_clients_[static_cast<std::size_t>(client)]->abandon();
-        return true;
-    }
-
-    std::vector<NodeId> replica_ids() const override {
-        std::vector<NodeId> out;
-        for (const auto& r : replicas_) out.push_back(r->id());
-        return out;
-    }
-    crypto::CostMeter* replica_meter(NodeId id) override {
-        for (auto& r : replicas_) {
-            if (r->id() == id) return &r->node_crypto().meter();
-        }
-        return nullptr;
-    }
-
-    /// Stalls shard 0's home switch; the config service fails the group
-    /// over to the next pool switch.
-    void inject_sequencer_failure() override { switches_[0]->set_stall(true); }
-    std::uint64_t failovers() const override { return config_->failovers_performed(); }
-
-    TxnTotals txn_totals() const override {
-        TxnTotals t;
-        for (const auto& sc : shard_clients_) {
-            const neobft::ShardClient::Stats& s = sc->stats();
-            t.txns_started += s.txns_started;
-            t.committed_txns += s.committed_txns;
-            t.aborted_txns += s.aborted_txns;
-            t.committed_ops += s.committed_ops;
-            t.cross_shard_txns += s.cross_shard_txns;
-        }
-        return t;
-    }
-
-    void register_obs(obs::Registry& reg, const std::string& prefix,
-                      obs::TraceSink* trace) override {
-        net_.register_metrics(reg, prefix + ".net");
-        for (auto& r : replicas_) {
-            r->register_metrics(reg, prefix + ".replica." + std::to_string(r->id()));
-        }
-        for (std::size_t s = 0; s < switches_.size(); ++s) {
-            switches_[s]->register_metrics(reg, prefix + ".sequencer." + std::to_string(s));
-        }
-        if (trace) {
-            for (const auto& r : replicas_) {
-                trace->set_node_name(r->id(), "replica " + std::to_string(r->id()));
-            }
-            for (std::size_t s = 0; s < switches_.size(); ++s) {
-                trace->set_node_name(switches_[s]->id(), "sequencer " + std::to_string(s));
-            }
-            trace->set_node_name(kConfigId, "config service");
-            for (const auto& c : child_clients_) {
-                trace->set_node_name(c->id(), "client " + std::to_string(c->id()));
-            }
-        }
-    }
-
-  private:
-    sim::Simulator sim_;
-    sim::Network net_;
-    crypto::TrustRoot root_;
-    aom::AomKeyService keys_;
-    std::unique_ptr<neobft::ShardRouter> router_;
-    std::vector<std::unique_ptr<aom::SequencerSwitch>> switches_;
-    std::unique_ptr<aom::ConfigService> config_;
-    std::vector<neobft::Config> shard_cfgs_;
-    std::vector<std::unique_ptr<neobft::Replica>> replicas_;
-    std::vector<std::unique_ptr<neobft::Client>> child_clients_;
-    std::vector<std::unique_ptr<neobft::ShardClient>> shard_clients_;
-};
+    if (id >= Topology::kSwitchBase) return static_cast<unsigned>(id - Topology::kSwitchBase) % nparts;
+    if (id == Topology::kConfigId) return 0;
+    return static_cast<unsigned>((id - Topology::kReplicaBase) / kShardReplicaStride) % nparts;
+}
 
 }  // namespace
 
 std::unique_ptr<Deployment> make_sharded_neobft(const ShardParams& p) {
-    return std::make_unique<ShardedNeoDeployment>(p);
+    const int S = p.n_shards;
+    NEO_ASSERT(S >= 1 && S <= static_cast<int>(kShardClientStride));
+    NEO_ASSERT(p.n_replicas >= 1 && p.n_replicas <= static_cast<int>(kShardReplicaStride));
+    auto t = std::make_unique<Topology>(p, true, group_affine);
+
+    // One group per shard over an even tiling of the 64-bit hash space.
+    std::vector<aom::GroupConfig> groups;
+    for (int s = 0; s < S; ++s) {
+        std::vector<NodeId> receivers;
+        for (int i = 0; i < p.n_replicas; ++i) {
+            receivers.push_back(Topology::kReplicaBase +
+                                kShardReplicaStride * static_cast<NodeId>(s) +
+                                static_cast<NodeId>(i));
+        }
+        groups.push_back(
+            neo_group(p.variant, kShardGroupBase + static_cast<GroupId>(s), std::move(receivers)));
+    }
+    groups = neobft::ShardRouter::assign_ranges(std::move(groups));
+    const auto& router = t->adopt(std::make_unique<neobft::ShardRouter>(groups));
+
+    // One home switch per shard plus a shared spare the failover
+    // round-robin can move any group onto.
+    aom::ConfigService& config = t->add_sequencers(S + 1, aom::SequencerConfig{}, false);
+    for (int s = 0; s < S; ++s) {
+        config.register_group(groups[static_cast<std::size_t>(s)], static_cast<std::size_t>(s));
+    }
+
+    app::YcsbWorkload preload(p.dataset, p.seed);
+    std::vector<neobft::Config> shard_cfgs;
+    for (int s = 0; s < S; ++s) {
+        const aom::GroupConfig& g = groups[static_cast<std::size_t>(s)];
+        neobft::Config cfg;
+        cfg.f = g.f;
+        cfg.group = g.group;
+        cfg.config_service = Topology::kConfigId;
+        cfg.sync_interval = p.sync_interval;
+        cfg.replicas = g.receivers;
+        shard_cfgs.push_back(cfg);
+
+        for (NodeId rid : cfg.replicas) {
+            auto app = std::make_unique<app::KvStateMachine>();
+            if (s == p.byzantine_prepare_shard) app->set_byzantine_prepare_equivocation(true);
+            app->set_wait_die(p.wait_die);
+            app->set_presumed_abort_after(p.presumed_abort_after);
+            if (p.dataset.record_count > 0) preload.load_into(*app);
+            auto& rep = t->add_replica(std::make_unique<neobft::Replica>(
+                                           cfg, t->provision(rid), t->keys(), std::move(app),
+                                           p.receiver),
+                                       rid);
+            rep.bootstrap(g, config.current_sequencer(g.group));
+        }
+    }
+
+    for (int c = 0; c < p.n_clients; ++c) {
+        std::vector<neobft::Client*> children;
+        for (int s = 0; s < S; ++s) {
+            NodeId cid = Topology::kClientBase + kShardClientStride * static_cast<NodeId>(c) +
+                         static_cast<NodeId>(s);
+            children.push_back(&t->add_node(
+                std::make_unique<neobft::Client>(shard_cfgs[static_cast<std::size_t>(s)],
+                                                 t->provision(cid), &config),
+                cid));
+        }
+        t->add_coordinator(std::make_unique<neobft::ShardClient>(
+            &router, std::move(children), static_cast<std::uint32_t>(c) + 1));
+    }
+    return t;
 }
 
 OpGen sharded_txn_ops(const ShardTxnWorkload& w, int n_clients) {

@@ -666,14 +666,18 @@ void Replica::apply_gap_outcomes() {
     bool progressed = true;
     while (progressed) {
         progressed = false;
-        for (auto& [slot, round] : gaps_) {
+        for (auto& [key, round] : gaps_) {
             if (!round.resolved || round.applied) continue;
+            // Filling the slot can complete a sync whose pruning erases this
+            // round from gaps_: copy what is used after that point.
+            const std::uint64_t slot = key;
             if (slot > log_.size() + 1) break;  // ordered map: nothing earlier left
 
             if (round.outcome_recv) {
                 if (!log_.has(slot)) {
                     if (round.outcome_oc.has_value()) {
-                        fill_slot_with_oc(slot, *round.outcome_oc);
+                        aom::OrderingCert oc = *round.outcome_oc;
+                        fill_slot_with_oc(slot, oc);
                     } else {
                         // Committed as recv but we lack the certificate:
                         // fetch it from the leader; stay blocked meanwhile.
@@ -685,7 +689,7 @@ void Replica::apply_gap_outcomes() {
             } else {
                 commit_noop(slot, round.outcome_cert);
             }
-            round.applied = true;
+            if (auto it = gaps_.find(slot); it != gaps_.end()) it->second.applied = true;
             progressed = true;
             unblock(slot);
             break;  // map may have been mutated (unblock -> drain); restart

@@ -223,6 +223,13 @@ Scenario loss_bursts(sim::Time t0, sim::Time period, sim::Time burst_len, double
     return sc;
 }
 
+Scenario seq_stall(sim::Time t0) {
+    Scenario sc;
+    sc.name = "seq_stall";
+    sc.events.push_back({t0, FaultKind::kSeqStall, {}, 0, 0.0, 0});
+    return sc;
+}
+
 Scenario seq_skips(sim::Time t0, std::uint32_t mod) {
     Scenario sc;
     sc.name = "seq_skips";

@@ -55,7 +55,7 @@ enum class FaultKind : std::uint8_t {
     kClearLink,      // restore default links on the target rows
     kLossBurst,      // global drop `rate` for [at, at+duration)
     // Malicious sequencer (no-op where the protocol has no sequencer).
-    kSeqStall,       // sequencer accepts but emits nothing
+    kSeqStall,       // first group's home sequencer accepts but emits nothing
     kSeqResume,
     kSeqDrop,        // drop sequenced packets with seq % mod == 0 (skipped seqnums)
     kSeqDuplicate,   // emit those packets twice
@@ -136,6 +136,9 @@ Scenario gray_link(const std::vector<NodeId>& replicas, sim::Time t0, sim::Time 
                    double rate);
 Scenario loss_bursts(sim::Time t0, sim::Time period, sim::Time burst_len, double rate,
                      int bursts);
+/// The §6.4 failover kill: the first group's home sequencer stalls at `t0`
+/// and the config service fails the group over to a standby switch.
+Scenario seq_stall(sim::Time t0);
 Scenario seq_skips(sim::Time t0, std::uint32_t mod);
 Scenario seq_unsigned(sim::Time t0, std::uint32_t mod);
 Scenario seq_equivocate(sim::Time t0, std::uint32_t mod);

@@ -47,10 +47,11 @@ std::unique_ptr<Deployment> build() {
 void drive(Deployment& d) {
     OpGen gen = echo_ops(64);
     auto issue = std::make_shared<std::function<void(int, std::uint64_t)>>();
-    *issue = [&d, issue, gen](int client, std::uint64_t k) {
+    // Weak self-reference: a strong one is a cycle that never frees.
+    *issue = [&d, self = std::weak_ptr(issue), gen](int client, std::uint64_t k) {
         if (k >= kRequestsPerClient) return;
         d.invoke(client, gen(client, k),
-                 [issue, client, k](Bytes) { (*issue)(client, k + 1); });
+                 [issue = self.lock(), client, k](Bytes) { (*issue)(client, k + 1); });
     };
     for (int c = 0; c < d.n_clients(); ++c) (*issue)(c, 0);
     d.simulator().run_until(10 * sim::kMillisecond);

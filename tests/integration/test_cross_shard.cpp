@@ -16,6 +16,7 @@
 #include <string_view>
 
 #include "harness/harness.hpp"
+#include "scenario/scenario.hpp"
 
 namespace neo::bench {
 namespace {
@@ -49,10 +50,11 @@ ShardTxnWorkload workload(int shards, double cross_ratio) {
 /// scenarios exist to *observe* violations — so drive the sim directly).
 void drive(Deployment& d, const OpGen& gen) {
     auto issue = std::make_shared<std::function<void(int, std::uint64_t)>>();
-    *issue = [&d, issue, &gen](int client, std::uint64_t k) {
+    // Weak self-reference: a strong one is a cycle that never frees.
+    *issue = [&d, self = std::weak_ptr(issue), &gen](int client, std::uint64_t k) {
         if (k >= kTxnsPerClient) return;
         d.invoke(client, gen(client, k),
-                 [issue, client, k](Bytes) { (*issue)(client, k + 1); });
+                 [issue = self.lock(), client, k](Bytes) { (*issue)(client, k + 1); });
     };
     for (int c = 0; c < d.n_clients(); ++c) (*issue)(c, 0);
     d.simulator().run_until(100 * sim::kMillisecond);
@@ -111,7 +113,7 @@ TEST(CrossShard, HonestRunSurvivesDropsAndFailover) {
     auto d = make_sharded_neobft(p);
     OpGen gen = sharded_txn_ops(workload(2, 0.2), d->n_clients());
 
-    d->simulator().at(5 * sim::kMillisecond, [&] { d->inject_sequencer_failure(); });
+    scenario::apply(scenario::seq_stall(5 * sim::kMillisecond), *d);
     Measured m = run_closed_loop(*d, gen, 2 * sim::kMillisecond, 150 * sim::kMillisecond);
 
     EXPECT_GT(m.completed, 0u);

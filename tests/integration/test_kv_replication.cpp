@@ -34,10 +34,11 @@ void run_kv_stream(app::YcsbWorkload& workload, Client& client, int total,
                    std::vector<app::KvResult>& results) {
     auto issue = std::make_shared<std::function<void()>>();
     auto remaining = std::make_shared<int>(total);
-    *issue = [&workload, &client, issue, remaining, &results]() {
+    // Weak self-reference: a strong one is a cycle that never frees.
+    *issue = [&workload, &client, self = std::weak_ptr(issue), remaining, &results]() {
         if ((*remaining)-- <= 0) return;
         app::KvOp op = workload.next_op();
-        client.invoke(op.serialize(), [issue, &results](Bytes res) {
+        client.invoke(op.serialize(), [issue = self.lock(), &results](Bytes res) {
             auto parsed = app::KvResult::parse(res);
             ASSERT_TRUE(parsed.has_value());
             results.push_back(*parsed);

@@ -16,6 +16,7 @@
 #include "harness/harness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scenario/scenario.hpp"
 
 namespace neo::bench {
 namespace {
@@ -106,8 +107,7 @@ Outcome run_scenario(const Scenario& sc, unsigned threads) {
     if (sc.failover) {
         // Mid-measurement sequencer kill, injected as a global event so it
         // lands between windows on every engine.
-        d->simulator().at_global(2 * sim::kMillisecond,
-                                 [dep = d.get()] { dep->inject_sequencer_failure(); });
+        scenario::apply(scenario::seq_stall(2 * sim::kMillisecond), *d);
     }
 
     Measured m = run_closed_loop(*d, echo_ops(64), 1 * sim::kMillisecond, 3 * sim::kMillisecond);

@@ -55,19 +55,13 @@ unsigned scrambled_flat(NodeId id, unsigned nparts) {
     return static_cast<unsigned>((id * 2'654'435'761ull + 97ull) % nparts);
 }
 
-RunOut run_neo(unsigned sim_threads, sim::Simulator::PlacementFn placement) {
-    NeoParams p;
-    p.n_replicas = 4;
-    p.n_clients = 8;
-    p.seed = kSeed;
-    p.sim_threads = sim_threads;
-    p.placement = std::move(placement);
-    auto d = make_neobft(p);
-
+/// Traces one closed-loop run of a fresh deployment and keeps everything
+/// placement must not change.
+RunOut traced_run(Deployment& d, const OpGen& gen) {
     obs::TraceSink sink;
-    d->simulator().set_trace(&sink);
-    Measured m = run_closed_loop(*d, echo_ops(64), 1 * sim::kMillisecond, 4 * sim::kMillisecond);
-    d->simulator().set_trace(nullptr);
+    d.simulator().set_trace(&sink);
+    Measured m = run_closed_loop(d, gen, 1 * sim::kMillisecond, 4 * sim::kMillisecond);
+    d.simulator().set_trace(nullptr);
 
     RunOut out;
     std::ostringstream os;
@@ -76,9 +70,21 @@ RunOut run_neo(unsigned sim_threads, sim::Simulator::PlacementFn placement) {
     out.completed = m.completed;
     out.p50_us = m.p50_us;
     out.p99_us = m.p99_us;
-    out.packets = d->network().packets_delivered();
-    out.executed_events = d->simulator().executed_events();
+    out.packets = d.network().packets_delivered();
+    out.executed_events = d.simulator().executed_events();
+    out.committed_ops = d.txn_totals().committed_ops;
     return out;
+}
+
+RunOut run_neo(unsigned sim_threads, sim::Simulator::PlacementFn placement) {
+    NeoParams p;
+    p.n_replicas = 4;
+    p.n_clients = 8;
+    p.seed = kSeed;
+    p.sim_threads = sim_threads;
+    p.placement = std::move(placement);
+    auto d = make_neobft(p);
+    return traced_run(*d, echo_ops(64));
 }
 
 RunOut run_sharded(unsigned sim_threads, sim::Simulator::PlacementFn placement) {
@@ -97,24 +103,7 @@ RunOut run_sharded(unsigned sim_threads, sim::Simulator::PlacementFn placement) 
     w.cross_shard_ratio = 0.25;
     w.seed = kSeed;
     w.dataset.record_count = 1'000;
-    OpGen gen = sharded_txn_ops(w, d->n_clients());
-
-    obs::TraceSink sink;
-    d->simulator().set_trace(&sink);
-    Measured m = run_closed_loop(*d, gen, 1 * sim::kMillisecond, 4 * sim::kMillisecond);
-    d->simulator().set_trace(nullptr);
-
-    RunOut out;
-    std::ostringstream os;
-    sink.write_jsonl(os);
-    out.trace = os.str();
-    out.completed = m.completed;
-    out.p50_us = m.p50_us;
-    out.p99_us = m.p99_us;
-    out.packets = d->network().packets_delivered();
-    out.executed_events = d->simulator().executed_events();
-    out.committed_ops = d->txn_totals().committed_ops;
-    return out;
+    return traced_run(*d, sharded_txn_ops(w, d->n_clients()));
 }
 
 void expect_same(const RunOut& ref, const RunOut& got, const std::string& what) {
@@ -150,6 +139,30 @@ TEST(Placement, ShardedByteIdenticalAcrossPlacementsAndThreads) {
         expect_same(ref, run_sharded(threads, scrambled_sharded),
                     "scrambled placement, threads=" + std::to_string(threads));
     }
+}
+
+TEST(Placement, BaselineFactoriesApplyThePolicy) {
+    // CommonParams::placement reaches every factory, not only NeoBFT's: the
+    // PBFT replicas land where the policy puts them, and the run is the
+    // default-placement run byte for byte.
+    auto build = [](sim::Simulator::PlacementFn placement) {
+        CommonParams p;
+        p.n_replicas = 4;
+        p.n_clients = 8;
+        p.seed = kSeed;
+        p.sim_threads = 4;
+        p.placement = std::move(placement);
+        return make_pbft(p);
+    };
+    auto scrambled = build(scrambled_flat);
+    ASSERT_EQ(scrambled->replica_ids().size(), 4u);
+    for (NodeId r : scrambled->replica_ids()) {
+        EXPECT_EQ(scrambled->simulator().partition_of(r), scrambled_flat(r, 4)) << "replica " << r;
+    }
+    RunOut got = traced_run(*scrambled, echo_ops(64));
+    RunOut ref = traced_run(*build(nullptr), echo_ops(64));
+    EXPECT_GT(ref.completed, 0u);
+    expect_same(ref, got, "pbft scrambled placement, threads=4");
 }
 
 TEST(Placement, PolicyOnlyMovesHostWork) {

@@ -59,9 +59,10 @@ ShardTxnWorkload workload() {
 
 void drive_client(Deployment& d, const OpGen& gen, int client, int txns, sim::Time deadline) {
     auto issue = std::make_shared<std::function<void(std::uint64_t)>>();
-    *issue = [&d, issue, &gen, client, txns](std::uint64_t k) {
+    // Weak self-reference: a strong one is a cycle that never frees.
+    *issue = [&d, self = std::weak_ptr(issue), &gen, client, txns](std::uint64_t k) {
         if (k >= static_cast<std::uint64_t>(txns)) return;
-        d.invoke(client, gen(client, k), [issue, k](Bytes) { (*issue)(k + 1); });
+        d.invoke(client, gen(client, k), [issue = self.lock(), k](Bytes) { (*issue)(k + 1); });
     };
     (*issue)(0);
     d.simulator().run_until(deadline);
@@ -140,9 +141,10 @@ Deployment::TxnTotals run_contention(bool wait_die, std::uint64_t& min_client_co
     constexpr int kTxns = 12;
     auto issue = std::make_shared<std::function<void(int, std::uint64_t)>>();
     auto committed = std::make_shared<std::vector<std::uint64_t>>(4, 0);
-    *issue = [&d, issue, &gen, committed](int c, std::uint64_t k) {
+    // Weak self-reference: a strong one is a cycle that never frees.
+    *issue = [&d, self = std::weak_ptr(issue), &gen, committed](int c, std::uint64_t k) {
         if (k >= kTxns) return;
-        d->invoke(c, gen(c, k), [issue, committed, c, k](Bytes reply) {
+        d->invoke(c, gen(c, k), [issue = self.lock(), committed, c, k](Bytes reply) {
             auto res = app::KvResult::parse(BytesView(reply.data(), reply.size()));
             if (res && res->status == app::KvStatus::kOk) {
                 ++(*committed)[static_cast<std::size_t>(c)];

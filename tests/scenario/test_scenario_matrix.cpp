@@ -95,6 +95,30 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, ScenarioMatrix, ::testing::ValuesIn(all_c
                              return std::get<0>(info.param) + "_" + std::get<1>(info.param);
                          });
 
+TEST(SeqStall, FailsOverOnceAndEveryClientCommitsAfterTheStall) {
+    // seq_stall stalls only the first group's home switch: the config
+    // service fails the group over to the standby once, and every client
+    // commits a request it issued after the stall. (Stalling every switch
+    // would leave no live standby to fail over to.)
+    constexpr sim::Time kStallAt = 5 * sim::kMillisecond;
+    constexpr sim::Time kEnd = 200 * sim::kMillisecond;
+    NeoParams p;
+    p.n_clients = 4;
+    p.seed = kSeed;
+    auto d = make_neobft(p);
+    scenario::apply(scenario::seq_stall(kStallAt), *d);
+    std::vector<std::uint64_t> after(4, 0);
+    start_closed_loop(*d, echo_ops(64), kEnd, [&after](int c, sim::Time begin, sim::Time) {
+        if (begin > kStallAt) ++after[static_cast<std::size_t>(c)];
+    });
+    d->simulator().run_until(kEnd);
+
+    EXPECT_EQ(d->failovers(), 1u);
+    for (std::size_t c = 0; c < after.size(); ++c) {
+        EXPECT_GT(after[c], 0u) << "client " << c << " never committed after the stall";
+    }
+}
+
 TEST(ScenarioDeterminism, OutcomeByteIdenticalAcrossThreadCounts) {
     // The engine schedules every fault as a global event, so a scenario
     // run — faults, recovery, auditor stream and all — must be a pure
