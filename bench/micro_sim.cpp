@@ -41,15 +41,15 @@ class NullHandler : public ProcessingNode {
     void handle(NodeId, BytesView) override {}
 };
 
-// Event-queue throughput: schedule-then-fire cycles through the binary
-// heap, with callbacks shaped like the packet-delivery closures (inline
-// EventFn storage, no heap allocation per event).
+// Event-queue throughput: schedule-then-fire cycles through the event
+// heap, with an 8-byte closure (inline EventFn storage, no heap allocation
+// per event; delivery-sized closures are the next benchmark's).
 void BM_EventQueueThroughput(benchmark::State& state) {
     const std::size_t events = static_cast<std::size_t>(state.range(0));
     std::uint64_t fired = 0;
     for (auto _ : state) {
         Simulator sim;
-        // Interleaved timestamps so sift_up/sift_down do real work.
+        // Interleaved timestamps so the heap's sifts do real work.
         for (std::size_t i = 0; i < events; ++i) {
             sim.at(static_cast<Time>((i * 7919) % events), [&fired] { ++fired; });
         }
@@ -60,6 +60,57 @@ void BM_EventQueueThroughput(benchmark::State& state) {
                             static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventQueueThroughput)->Arg(1 << 10)->Arg(1 << 16);
+
+// Event-queue cost with delivery-sized callbacks: a steady queue depth
+// (the arg) of closures shaped like Network's packet delivery (this, two
+// NodeIds, a latency and a refcounted Packet), each delivery posting the
+// next one a pseudo-random delay ahead. The 8-byte closure above hides what
+// the queue spends moving callbacks around; this one does not.
+class DeliveryChurn {
+  public:
+    DeliveryChurn(Simulator& sim, std::uint64_t budget) : sim_(sim), budget_(budget) {}
+
+    void post(Time at, NodeId from, NodeId to, Packet pkt) {
+        auto deliver = [this, from, to, latency = at - sim_.now(), pkt = std::move(pkt)] {
+            delivered_ += pkt.size() + static_cast<std::uint64_t>(latency);
+            if (budget_ == 0) return;
+            --budget_;
+            post(sim_.now() + 1 + static_cast<Time>(rng_.uniform(1'000)), to, from, pkt);
+        };
+        static_assert(sizeof(deliver) >= 40 && EventFn::fits_inline<decltype(deliver)>,
+                      "closure must match the inline packet-delivery closure");
+        sim_.at_node(at, to, std::move(deliver));
+    }
+
+    std::uint64_t delivered() const { return delivered_; }
+
+  private:
+    Simulator& sim_;
+    std::uint64_t budget_;
+    std::uint64_t delivered_ = 0;
+    Rng rng_{11};
+};
+
+void BM_EventQueueDeliveryClosure(benchmark::State& state) {
+    const int depth = static_cast<int>(state.range(0));
+    constexpr std::uint64_t kEvents = 1 << 15;
+    Packet pkt{Bytes(256, 0xab)};
+    std::uint64_t delivered = 0;
+    for (auto _ : state) {
+        Simulator sim;
+        DeliveryChurn churn(sim, kEvents - static_cast<std::uint64_t>(depth));
+        for (int i = 0; i < depth; ++i) {
+            churn.post(static_cast<Time>(i), static_cast<NodeId>(i % 8),
+                       static_cast<NodeId>(8 + i % 8), pkt);
+        }
+        sim.run();
+        delivered += churn.delivered();
+    }
+    benchmark::DoNotOptimize(delivered);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kEvents));
+}
+BENCHMARK(BM_EventQueueDeliveryClosure)->Arg(256);
 
 // Timer churn: arm/cancel/fire through ProcessingNode's timer queue, the
 // pattern retry/gap/batch timers follow. Half the timers are cancelled
@@ -181,6 +232,16 @@ BENCHMARK(BM_MultiGroupSequence)->Arg(1)->Arg(4)->Arg(16);
 // the cross-partition mailboxes, and the window-size sensitivity to
 // lookahead. All of them run the real engine (workers, epochs, parities).
 
+/// A self-reposting event loop. The loop body holds itself only weakly (a
+/// strong self-capture is a cycle that never frees, as in
+/// bench::start_closed_loop); each scheduled turn holds it strongly, so the
+/// loop is freed with the simulator's last pending event.
+using Loop = std::shared_ptr<std::function<void()>>;
+
+void post_turn(Simulator& sim, Time t, NodeId node, const Loop& loop) {
+    sim.at_node(t, node, [loop] { (*loop)(); });
+}
+
 // Window-barrier overhead vs partition count: one self-reposting event per
 // partition, spaced exactly one lookahead apart, so every window executes
 // one event per partition and the measurement is dominated by the
@@ -194,13 +255,13 @@ void BM_WindowBarrier(benchmark::State& state) {
         Simulator sim(partitions);
         sim.set_lookahead(kLookahead);
         for (unsigned n = 0; n < partitions; ++n) {
-            auto self = std::make_shared<std::function<void()>>();
+            auto loop = std::make_shared<std::function<void()>>();
             NodeId id = static_cast<NodeId>(n);
-            *self = [&sim, &fired, self, id] {
+            *loop = [&sim, &fired, weak = std::weak_ptr(loop), id] {
                 ++fired;
-                sim.at_node(sim.now() + kLookahead, id, [self] { (*self)(); });
+                post_turn(sim, sim.now() + kLookahead, id, weak.lock());
             };
-            sim.at_node(0, id, [self] { (*self)(); });
+            post_turn(sim, 0, id, loop);
         }
         sim.run_until(kWindows * kLookahead);
     }
@@ -221,13 +282,13 @@ void BM_MailboxThroughput(benchmark::State& state) {
         Simulator sim(2);
         sim.set_lookahead(kLookahead);
         auto pump = std::make_shared<std::function<void()>>();
-        *pump = [&sim, &received, pump, batch] {
+        *pump = [&sim, &received, weak = std::weak_ptr(pump), batch] {
             for (std::size_t i = 0; i < batch; ++i) {
                 sim.at_node(sim.now() + kLookahead, 1, [&received] { ++received; });
             }
-            sim.at_node(sim.now() + kLookahead, 0, [pump] { (*pump)(); });
+            post_turn(sim, sim.now() + kLookahead, 0, weak.lock());
         };
-        sim.at_node(0, 0, [pump] { (*pump)(); });
+        post_turn(sim, 0, 0, pump);
         sim.run_until(kWindows * kLookahead);
     }
     benchmark::DoNotOptimize(received);
@@ -251,13 +312,13 @@ void BM_LookaheadSensitivity(benchmark::State& state) {
         Simulator sim(kParts);
         sim.set_lookahead(lookahead);
         for (unsigned n = 0; n < kParts; ++n) {
-            auto self = std::make_shared<std::function<void()>>();
+            auto loop = std::make_shared<std::function<void()>>();
             NodeId id = static_cast<NodeId>(n);
-            *self = [&sim, &fired, self, id] {
+            *loop = [&sim, &fired, weak = std::weak_ptr(loop), id] {
                 ++fired;
-                sim.at_node(sim.now() + kPeriod, id, [self] { (*self)(); });
+                post_turn(sim, sim.now() + kPeriod, id, weak.lock());
             };
-            sim.at_node(0, id, [self] { (*self)(); });
+            post_turn(sim, 0, id, loop);
         }
         sim.run_until(kRounds * kPeriod);
     }

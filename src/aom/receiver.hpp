@@ -179,6 +179,13 @@ class AomReceiver {
     DeliverFn deliver_;
     std::function<void(EpochNum, NodeId)> on_new_epoch_;
 
+    /// aom-hm session key shared with the switch that sequenced the last
+    /// verified packet (§4.3: provisioned once per switch, not per packet);
+    /// re-derived when sequencer_for_epoch names a different switch.
+    crypto::HalfSipKey hm_session_key(NodeId sequencer);
+    std::optional<NodeId> hm_key_switch_;
+    crypto::HalfSipKey hm_key_;
+
     EpochNum epoch_ = 0;
     std::map<EpochNum, NodeId> epoch_sequencers_;   // activated epochs
     std::map<EpochNum, NodeId> announced_;          // learned, not yet active

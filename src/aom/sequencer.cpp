@@ -131,6 +131,10 @@ void SequencerSwitch::process_hm(GroupState& gs, const DataPacket& pkt, sim::Tim
     }
     int receivers = static_cast<int>(gs.cfg.receivers.size());
     int subgroups = hm_subgroup_count(receivers);
+    if (gs.hm_keys.size() != gs.cfg.receivers.size()) {
+        gs.hm_keys.clear();
+        for (NodeId r : gs.cfg.receivers) gs.hm_keys.push_back(keys_->hm_key(id(), r));
+    }
 
     Bytes input = auth_input(gs.cfg.group, gs.epoch, seq, pkt.digest);
 
@@ -153,19 +157,13 @@ void SequencerSwitch::process_hm(GroupState& gs, const DataPacket& pkt, sim::Tim
             // Full subgroup: same input, four keys — one 4-lane SipHash
             // dispatch (see crypto::halfsiphash24_x4) instead of four
             // scalar passes over the input.
-            crypto::HalfSipKey keys[kHmSubgroupSize];
             std::uint32_t macs[kHmSubgroupSize];
-            for (int slot = lo; slot < hi; ++slot) {
-                keys[slot - lo] =
-                    keys_->hm_key(id(), gs.cfg.receivers[static_cast<std::size_t>(slot)]);
-            }
-            crypto::halfsiphash24_x4(keys, input, macs);
+            crypto::halfsiphash24_x4(&gs.hm_keys[static_cast<std::size_t>(lo)], input, macs);
             out.macs.insert(out.macs.end(), macs, macs + kHmSubgroupSize);
         } else {
             for (int slot = lo; slot < hi; ++slot) {
-                crypto::HalfSipKey key =
-                    keys_->hm_key(id(), gs.cfg.receivers[static_cast<std::size_t>(slot)]);
-                out.macs.push_back(crypto::halfsiphash24(key, input));
+                out.macs.push_back(
+                    crypto::halfsiphash24(gs.hm_keys[static_cast<std::size_t>(slot)], input));
             }
         }
         out.payload = pkt.payload;

@@ -105,6 +105,11 @@ class SequencerSwitch : public sim::Node {
         Digest32 head_digest{};
         std::uint32_t unsigned_run = 0;
         std::uint64_t checkpoint_generation = 0;
+        // aom-hm session keys, one per receiver slot: provisioned once per
+        // installed group (§4.3), not derived per packet. Filled on the
+        // first sequenced packet, when the switch's own id is known; a
+        // reconfiguration installs a fresh GroupState and re-derives them.
+        std::vector<crypto::HalfSipKey> hm_keys;
     };
 
     void process_hm(GroupState& gs, const DataPacket& pkt, sim::Time emit_time);

@@ -16,14 +16,28 @@ void Network::add_node(Node& node, NodeId id) {
     // Memoize the node's partition under the current placement policy
     // (setup-time only; the table is immutable once workers run).
     sim_.bind_node(id);
-    // Pre-build the sender stream so the map is never mutated from a worker
-    // thread once the simulation runs.
-    streams_.emplace(id, StreamRng(seed_, id));
+    // Pre-build the sender stream so the tables are never mutated from a
+    // worker thread once the simulation runs. A stream an unattached id
+    // already drew from (lazy insert) keeps its position.
+    if (id >= kDenseStreams) {
+        sparse_streams_.emplace(id, StreamRng(seed_, id));
+        return;
+    }
+    while (streams_.size() <= id) {
+        const auto next = static_cast<NodeId>(streams_.size());
+        auto it = sparse_streams_.find(next);
+        if (it == sparse_streams_.end()) {
+            streams_.emplace_back(seed_, next);
+        } else {
+            streams_.push_back(it->second);
+            sparse_streams_.erase(it);
+        }
+    }
 }
 
-StreamRng& Network::stream(NodeId from) {
-    auto it = streams_.find(from);
-    if (it == streams_.end()) it = streams_.emplace(from, StreamRng(seed_, from)).first;
+StreamRng& Network::sparse_stream(NodeId from) {
+    auto it = sparse_streams_.find(from);
+    if (it == sparse_streams_.end()) it = sparse_streams_.emplace(from, StreamRng(seed_, from)).first;
     return it->second;
 }
 

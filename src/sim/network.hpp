@@ -185,7 +185,11 @@ class Network {
     /// add_node; sends from ids that were never attached (test scaffolding)
     /// fall back to a lazy insert, which is only safe from setup code or a
     /// global event — never from a node event on a worker thread.
-    StreamRng& stream(NodeId from);
+    StreamRng& stream(NodeId from) {
+        if (from < streams_.size()) return streams_[from];
+        return sparse_stream(from);
+    }
+    StreamRng& sparse_stream(NodeId from);
 
     void refresh_lookahead();
     void count_drop(obs::DropReason reason, Time t, NodeId from, NodeId to, std::size_t bytes);
@@ -195,7 +199,15 @@ class Network {
     LinkConfig default_link_;
     std::map<std::uint64_t, LinkConfig> link_overrides_;
     std::unordered_map<NodeId, Node*> nodes_;
-    std::unordered_map<NodeId, StreamRng> streams_;
+    /// Sender streams, NodeId-indexed up to the largest attached id below
+    /// kDenseStreams (add_node builds the table, like the simulator's
+    /// placement table). Every slot holds StreamRng(seed, slot id), so an
+    /// id below the table's end that was never attached still draws the
+    /// same stream a lazy insert would give it. Larger or never-covered ids
+    /// live in sparse_streams_.
+    static constexpr NodeId kDenseStreams = 1u << 16;
+    std::vector<StreamRng> streams_;
+    std::unordered_map<NodeId, StreamRng> sparse_streams_;
     std::unordered_set<std::uint64_t> blocked_;
     std::unordered_set<NodeId> down_;
     TamperFn tamper_;

@@ -17,44 +17,63 @@ using detail::kTimeInf;
 
 namespace detail {
 
-void EventHeap::push(Ev e) {
-    v_.push_back(std::move(e));
-    sift_up(v_.size() - 1);
-}
-
-Ev EventHeap::pop() {
-    Ev ev = std::move(v_.front());
-    if (v_.size() > 1) {
-        v_.front() = std::move(v_.back());
-        v_.pop_back();
-        sift_down(0);
-    } else {
-        v_.pop_back();
+std::uint32_t EventHeap::acquire() {
+    if (free_ != kNoSlot) {
+        const std::uint32_t i = free_;
+        free_ = slot(i).next_free;
+        return i;
     }
-    return ev;
+    if (slots_used_ == chunks_.size() * kChunkSlots) {
+        chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    }
+    return slots_used_++;
 }
 
-void EventHeap::sift_up(std::size_t i) {
+void EventHeap::release(std::uint32_t i) {
+    Slot& s = slot(i);
+    s.fn.reset();
+    s.next_free = free_;
+    free_ = i;
+}
+
+void EventHeap::push(const EventKey& key, NodeId owner, EventFn&& fn) {
+    const std::uint32_t si = acquire();
+    Slot& s = slot(si);
+    s.owner = owner;
+    s.fn = std::move(fn);
+    // Sift a hole up from the new leaf, moving parents down into it.
+    std::size_t i = heap_.size();
+    heap_.emplace_back();
     while (i > 0) {
-        std::size_t parent = (i - 1) / 2;
-        if (!v_[i].key.before(v_[parent].key)) break;
-        std::swap(v_[i], v_[parent]);
+        const std::size_t parent = (i - 1) / 4;
+        if (!key.before(heap_[parent].key)) break;
+        heap_[i] = heap_[parent];
         i = parent;
     }
+    heap_[i] = Entry{key, si};
 }
 
-void EventHeap::sift_down(std::size_t i) {
-    const std::size_t n = v_.size();
+void EventHeap::remove_top() {
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return;
+    // Sift a hole down from the root, pulling the least child up into it,
+    // until the former last entry fits.
+    std::size_t i = 0;
     for (;;) {
-        std::size_t left = 2 * i + 1;
-        if (left >= n) break;
-        std::size_t best = left;
-        std::size_t right = left + 1;
-        if (right < n && v_[right].key.before(v_[left].key)) best = right;
-        if (!v_[best].key.before(v_[i].key)) break;
-        std::swap(v_[i], v_[best]);
+        const std::size_t first = 4 * i + 1;
+        if (first >= n) break;
+        const std::size_t end = std::min(first + 4, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < end; ++c) {
+            if (heap_[c].key.before(heap_[best].key)) best = c;
+        }
+        if (!heap_[best].key.before(last.key)) break;
+        heap_[i] = heap_[best];
         i = best;
     }
+    heap_[i] = last;
 }
 
 // One logical process: a slice of the nodes, their event heap and virtual
@@ -72,9 +91,20 @@ struct Partition {
     EventHeap heap;
     Time now = 0;
     std::uint64_t executed = 0;
-    // Per-lane monotonic counters; unordered_map references are stable, so
-    // ExecContext can hold a pointer across the event's execution.
-    std::unordered_map<std::uint64_t, std::uint64_t> lane_seq;
+    // Per-lane monotonic counters, indexed by the owner NodeId; ids at or
+    // above kDenseLanes (never handed out by the deployments) use the map.
+    // ExecContext holds a pointer into the table for the event's whole
+    // execution: the vector only grows here, at the start of an event, and
+    // events on one partition never nest; map references are stable.
+    static constexpr NodeId kDenseLanes = 1u << 16;
+    std::vector<std::uint64_t> lane_seq;
+    std::unordered_map<NodeId, std::uint64_t> lane_seq_sparse;
+
+    std::uint64_t* lane_counter(NodeId owner) {
+        if (owner >= kDenseLanes) return &lane_seq_sparse[owner];
+        if (owner >= lane_seq.size()) lane_seq.resize(owner + 1, 0);
+        return &lane_seq[owner];
+    }
     // outbox[parity][dst]: events this partition scheduled for partition
     // dst during a window writing `parity`; dst merges them at the start of
     // the next window (the barrier is the happens-before edge).
@@ -137,7 +167,7 @@ void Simulator::at_node(Time t, NodeId owner, Callback fn) {
 
 void Simulator::at_global(Time t, Callback fn) { schedule_global(t, std::move(fn), own_ctx()); }
 
-void Simulator::schedule_node(Time t, NodeId owner, EventFn fn, ExecContext* c) {
+void Simulator::schedule_node(Time t, NodeId owner, EventFn&& fn, ExecContext* c) {
     EventKey key = make_key(t, c);
     detail::Partition& dst = *parts_[partition_of(owner)];
     if (c != nullptr && c->part != nullptr && c->part != &dst) {
@@ -154,10 +184,10 @@ void Simulator::schedule_node(Time t, NodeId owner, EventFn fn, ExecContext* c) 
             return;
         }
     }
-    dst.heap.push(Ev{key, owner, std::move(fn)});
+    dst.heap.push(key, owner, std::move(fn));
 }
 
-void Simulator::schedule_global(Time t, EventFn fn, ExecContext* c) {
+void Simulator::schedule_global(Time t, EventFn&& fn, ExecContext* c) {
     if (c != nullptr && c->part != nullptr) {
         // Scheduled from inside a node's event: the global must not land
         // inside the window that is scheduling it.
@@ -167,11 +197,11 @@ void Simulator::schedule_global(Time t, EventFn fn, ExecContext* c) {
         if (c->windowed) {
             c->part->pending_globals.push_back(Ev{key, kInvalidNode, std::move(fn)});
         } else {
-            global_.push(Ev{key, kInvalidNode, std::move(fn)});
+            global_.push(key, kInvalidNode, std::move(fn));
         }
         return;
     }
-    global_.push(Ev{make_key(t, c), kInvalidNode, std::move(fn)});
+    global_.push(make_key(t, c), kInvalidNode, std::move(fn));
 }
 
 // ---------------------------------------------------------------------------
@@ -181,34 +211,35 @@ void Simulator::schedule_global(Time t, EventFn fn, ExecContext* c) {
 // order among globals, and a global at time Tg after every node event with
 // t <= Tg.
 
-void Simulator::exec_on_partition(detail::Partition& p, Ev ev) {
-    NEO_ASSERT(ev.key.t >= p.now);
-    p.now = ev.key.t;
-    now_ = ev.key.t;
+void Simulator::exec_on_partition(detail::Partition& p, const EventKey& key, NodeId owner,
+                                  EventFn& fn) {
+    NEO_ASSERT(key.t >= p.now);
+    p.now = key.t;
+    now_ = key.t;
     ExecContext ctx;
     ctx.sim = this;
     ctx.part = &p;
     ctx.trace = trace_;
-    ctx.now = ev.key.t;
-    ctx.lane = ev.owner;
-    ctx.seq = &p.lane_seq[ev.owner];
+    ctx.now = key.t;
+    ctx.lane = owner;
+    ctx.seq = p.lane_counter(owner);
     ctx.shard = p.index;
     ctx.windowed = false;
     ExecContext* prev = g_ctx;
     g_ctx = &ctx;
     ++p.executed;
-    ev.fn();
+    fn();
     g_ctx = prev;
 }
 
-void Simulator::exec_global(Ev ev) {
-    NEO_ASSERT(ev.key.t >= now_);
-    now_ = ev.key.t;
+void Simulator::exec_global(const EventKey& key, EventFn& fn) {
+    NEO_ASSERT(key.t >= now_);
+    now_ = key.t;
     ExecContext ctx;
     ctx.sim = this;
     ctx.part = nullptr;
     ctx.trace = trace_;
-    ctx.now = ev.key.t;
+    ctx.now = key.t;
     ctx.lane = kGlobalLane;
     ctx.seq = &global_seq_;
     ctx.shard = nparts_;
@@ -216,7 +247,7 @@ void Simulator::exec_global(Ev ev) {
     ExecContext* prev = g_ctx;
     g_ctx = &ctx;
     ++executed_global_;
-    ev.fn();
+    fn();
     g_ctx = prev;
 }
 
@@ -229,15 +260,21 @@ bool Simulator::serial_step(Time limit) {
     const bool have_global = !global_.empty();
     if (best != nullptr && (!have_global || best->heap.top_key().t <= global_.top_key().t)) {
         if (best->heap.top_key().t > limit) return false;
-        exec_on_partition(*best, best->heap.pop());
+        best->heap.pop_run([this, best](const EventKey& key, NodeId owner, EventFn& fn) {
+            exec_on_partition(*best, key, owner, fn);
+        });
         return true;
     }
     if (have_global) {
         if (global_.top_key().t > limit) return false;
-        exec_global(global_.pop());
+        run_next_global();
         return true;
     }
     return false;
+}
+
+void Simulator::run_next_global() {
+    global_.pop_run([this](const EventKey& key, NodeId, EventFn& fn) { exec_global(key, fn); });
 }
 
 bool Simulator::step() {
@@ -348,18 +385,19 @@ void Simulator::window_work(detail::Partition& p, Time wend, unsigned parity) {
     g_ctx = &ctx;
     std::size_t tprev = ctx.trace != nullptr ? p.tbuf->size() : 0;
     while (!p.heap.empty() && p.heap.top_key().t < wend) {
-        Ev ev = p.heap.pop();
-        NEO_ASSERT(ev.key.t >= p.now);
-        p.now = ev.key.t;
-        ctx.now = ev.key.t;
-        ctx.lane = ev.owner;
-        ctx.seq = &p.lane_seq[ev.owner];
-        ++p.executed;
-        ev.fn();
-        if (ctx.trace != nullptr && p.tbuf->size() != tprev) {
-            p.tmarks.emplace_back(ev.key, static_cast<std::uint32_t>(p.tbuf->size()));
-            tprev = p.tbuf->size();
-        }
+        p.heap.pop_run([&](const EventKey& key, NodeId owner, EventFn& fn) {
+            NEO_ASSERT(key.t >= p.now);
+            p.now = key.t;
+            ctx.now = key.t;
+            ctx.lane = owner;
+            ctx.seq = p.lane_counter(owner);
+            ++p.executed;
+            fn();
+            if (ctx.trace != nullptr && p.tbuf->size() != tprev) {
+                p.tmarks.emplace_back(key, static_cast<std::uint32_t>(p.tbuf->size()));
+                tprev = p.tbuf->size();
+            }
+        });
     }
     g_ctx = prev;
 }
@@ -435,7 +473,7 @@ void Simulator::parallel_drain(Time limit) {
         } else {
             // One global at a time: it may schedule node events that key-sort
             // before the next pending global, so re-derive tmin in between.
-            exec_global(global_.pop());
+            run_next_global();
         }
     }
     carry_parity_ = carry;

@@ -42,10 +42,14 @@
 // serial merged drain regardless of the configured thread count — same
 // results, no speedup.
 //
-// The per-partition event queue is a hand-rolled binary heap rather than a
-// std::priority_queue of std::function: callbacks are move-only EventFns
-// with inline storage (packet-delivery closures never touch the heap, see
-// sim/event.hpp), and pop() moves the top event out instead of copying it.
+// Each event queue (one per partition, plus the global queue) is a 4-ary
+// min-heap of 32-byte {key, slot} entries over a slab that holds every
+// pending event's owner and callback. Sifting moves a hole through the
+// small entries and never touches a callback: an EventFn (inline storage
+// for every packet-delivery closure, see sim/event.hpp) is relocated once
+// into its slab slot at push and runs in place at pop. The slab is chunked,
+// so slots never move while a callback runs and schedules more events; a
+// slot is reset (closure destroyed) before it returns to the free list.
 // Pop order is governed solely by the strict total order on keys, so the
 // heap layout cannot leak into simulated results.
 #pragma once
@@ -93,26 +97,72 @@ struct EventKey {
     }
 };
 
+/// An event in transit (cross-partition mailboxes, pending globals); the
+/// queues themselves store the parts separately (EventHeap).
 struct Ev {
     EventKey key;
     NodeId owner = kInvalidNode;  // node the event executes at; routing only
     EventFn fn;
 };
 
-/// Min-heap on EventKey::before; pop() moves the event out (no copies).
+/// Min-heap on EventKey::before. The heap orders 32-byte {key, slot}
+/// entries (4-ary, hole sifting); owner and callback live in a chunked slab
+/// slot for the event's whole stay, so a callback is relocated once in and
+/// then run in place. Destroying the heap destroys every pending callback.
 class EventHeap {
   public:
-    bool empty() const { return v_.empty(); }
-    std::size_t size() const { return v_.size(); }
-    const EventKey& top_key() const { return v_.front().key; }
+    EventHeap() = default;
+    EventHeap(const EventHeap&) = delete;
+    EventHeap& operator=(const EventHeap&) = delete;
 
-    void push(Ev e);
-    Ev pop();
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
+    const EventKey& top_key() const { return heap_.front().key; }
+
+    void push(const EventKey& key, NodeId owner, EventFn&& fn);
+    void push(Ev&& e) { push(e.key, e.owner, std::move(e.fn)); }
+
+    /// Removes the earliest event and calls exec(key, owner, fn) with the
+    /// callback still in its slot; exec may push more events. The callback
+    /// is destroyed and its slot freed when exec returns.
+    template <typename Exec>
+    void pop_run(Exec&& exec) {
+        const Entry top = heap_.front();
+        remove_top();
+        struct Release {
+            EventHeap* heap;
+            std::uint32_t slot;
+            ~Release() { heap->release(slot); }
+        } release{this, top.slot};
+        Slot& s = slot(top.slot);
+        exec(top.key, s.owner, s.fn);
+    }
 
   private:
-    void sift_up(std::size_t i);
-    void sift_down(std::size_t i);
-    std::vector<Ev> v_;
+    struct Entry {
+        EventKey key;
+        std::uint32_t slot;
+    };
+    static_assert(sizeof(Entry) == 32);
+
+    struct Slot {
+        EventFn fn;  // empty while the slot is free
+        NodeId owner = kInvalidNode;
+        std::uint32_t next_free = 0;
+    };
+    static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
+    static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+    static constexpr std::uint32_t kNoSlot = ~0u;
+
+    Slot& slot(std::uint32_t i) { return chunks_[i >> kChunkShift][i & (kChunkSlots - 1)]; }
+    std::uint32_t acquire();
+    void release(std::uint32_t i);
+    void remove_top();
+
+    std::vector<Entry> heap_;
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::uint32_t slots_used_ = 0;  // slots ever handed out (high-water mark)
+    std::uint32_t free_ = kNoSlot;  // head of the free-slot list
 };
 
 struct Partition;
@@ -265,11 +315,13 @@ class Simulator {
   private:
     detail::ExecContext* own_ctx() const;
     detail::EventKey make_key(Time t, detail::ExecContext* c);
-    void schedule_node(Time t, NodeId owner, EventFn fn, detail::ExecContext* c);
-    void schedule_global(Time t, EventFn fn, detail::ExecContext* c);
+    void schedule_node(Time t, NodeId owner, EventFn&& fn, detail::ExecContext* c);
+    void schedule_global(Time t, EventFn&& fn, detail::ExecContext* c);
     bool serial_step(Time limit);
-    void exec_on_partition(detail::Partition& p, detail::Ev ev);
-    void exec_global(detail::Ev ev);
+    void exec_on_partition(detail::Partition& p, const detail::EventKey& key, NodeId owner,
+                           EventFn& fn);
+    void exec_global(const detail::EventKey& key, EventFn& fn);
+    void run_next_global();
     void run_limit(Time limit);
     void parallel_drain(Time limit);
     void merge_all_mailboxes();

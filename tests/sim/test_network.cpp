@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "common/codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -211,6 +215,44 @@ TEST_F(NetworkTest, DeterministicAcrossRuns) {
     for (std::size_t i = 0; i < b.received.size(); ++i) {
         EXPECT_EQ(b.received[i].at, b2.received[i].at);
     }
+}
+
+TEST_F(NetworkTest, SenderStreamDependsOnlyOnSeedIdAndOwnSends) {
+    // Jitter is the only draw here (no drop rate), so each arrival is
+    // latency + the sender's next StreamRng(seed, id) draw — whichever table
+    // holds the stream: an id past the dense table (70000), an unattached
+    // id below its end (5), and an unattached id whose lazily created
+    // stream moves into the table when a larger id attaches (40, then 50).
+    LinkConfig cfg;
+    cfg.latency = 1000;
+    cfg.jitter = 500;
+    cfg.ns_per_byte = 0.0;
+    net.set_default_link(cfg);
+    RecorderNode far, late;
+    net.add_node(far, 70'000);
+
+    std::map<NodeId, StreamRng> expect;
+    std::map<NodeId, std::vector<Time>> want;
+    auto send_from = [&](NodeId from) {
+        auto it = expect.try_emplace(from, /*seed=*/1, from).first;
+        want[from].push_back(sim.now() + cfg.latency +
+                             static_cast<Time>(it->second.uniform(cfg.jitter)));
+        net.send(from, 2, to_bytes("j"));
+    };
+    for (int i = 0; i < 4; ++i) {
+        send_from(70'000);
+        send_from(5);
+        send_from(40);
+    }
+    net.add_node(late, 50);
+    for (int i = 0; i < 4; ++i) send_from(40);
+    sim.run();
+
+    // Arrivals come in time order; compare each sender's multiset.
+    std::map<NodeId, std::vector<Time>> got;
+    for (const auto& r : b.received) got[r.from].push_back(r.at);
+    for (auto& [from, times] : want) std::sort(times.begin(), times.end());
+    EXPECT_EQ(got, want);
 }
 
 TEST_F(NetworkTest, SendToUnknownNodeCountsDrop) {

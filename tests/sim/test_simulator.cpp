@@ -32,6 +32,22 @@ TEST(Simulator, SameTimestampFifoOrder) {
     for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
+TEST(Simulator, SameTimestampFifoOrderFromAnyLane) {
+    // Per-lane sequence counters live in a NodeId-indexed table, with a map
+    // for ids past its end; same-time events a node schedules run in the
+    // order it scheduled them either way.
+    for (NodeId owner : {NodeId{3}, NodeId{1'000}, NodeId{70'000}, NodeId{0xfffffff0u}}) {
+        Simulator s;
+        std::vector<int> order;
+        s.at_node(1, owner, [&] {
+            for (int i = 0; i < 10; ++i) s.at(5, [&order, i] { order.push_back(i); });
+        });
+        s.run();
+        ASSERT_EQ(order.size(), 10u) << owner;
+        for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i) << owner;
+    }
+}
+
 TEST(Simulator, AfterSchedulesRelative) {
     Simulator s;
     Time fired = -1;
