@@ -103,6 +103,54 @@ void BM_GeneratorMul(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratorMul);
 
+// Field and scalar arithmetic under the point code. Each iteration feeds
+// its result back in, so the timings are latency-bound like a scalar
+// multiplication's dependency chain.
+Fe random_fe(std::uint64_t seed) {
+    Rng rng(seed);
+    return Fe::from_u256(U256::from_be_bytes(rng.bytes(32)));
+}
+
+void BM_FieldMul(benchmark::State& state) {
+    Fe a = random_fe(15);
+    const Fe b = random_fe(16);
+    for (auto _ : state) {
+        a = a.mul(b);
+        benchmark::DoNotOptimize(a);
+    }
+}
+BENCHMARK(BM_FieldMul);
+
+void BM_FieldSqr(benchmark::State& state) {
+    Fe a = random_fe(17);
+    for (auto _ : state) {
+        a = a.sqr();
+        benchmark::DoNotOptimize(a);
+    }
+}
+BENCHMARK(BM_FieldSqr);
+
+// The constant-time inverse used by to_affine on the signing path.
+void BM_FieldInverse(benchmark::State& state) {
+    Fe a = random_fe(18);
+    for (auto _ : state) {
+        a = a.inverse();
+        benchmark::DoNotOptimize(a);
+    }
+}
+BENCHMARK(BM_FieldInverse);
+
+// The constant-time inverse of the signing nonce.
+void BM_ScalarInverse(benchmark::State& state) {
+    Rng rng(19);
+    Scalar a = Scalar::from_be_bytes_reduce(rng.bytes(32));
+    for (auto _ : state) {
+        a = a.inverse();
+        benchmark::DoNotOptimize(a);
+    }
+}
+BENCHMARK(BM_ScalarInverse);
+
 // Batch verification with shared precomputation; range(0) = batch size.
 // Per-item time should drop well below BM_EcdsaVerify as the per-batch
 // table build and inversions amortise.

@@ -68,6 +68,15 @@ std::uint64_t TrustRoot::shared_memo_hits() const {
     return total;
 }
 
+std::size_t TrustRoot::memo_allocated_slots() const {
+    std::size_t total = memo_.allocated_slots();
+    for (const MemoShard& shard : shared_memo_) {
+        std::lock_guard<std::mutex> lock(shard.m);
+        total += shard.memo.allocated_slots();
+    }
+    return total;
+}
+
 bool TrustRoot::shared_find(NodeId signer, const Digest32& digest, BytesView sig,
                             bool* valid) const {
     MemoShard& shard = shared_memo_[digest[0] % kMemoShards];

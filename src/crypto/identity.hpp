@@ -88,6 +88,11 @@ class TrustRoot {
     /// instrumentation; see NodeCrypto::verify).
     std::uint64_t shared_memo_hits() const;
 
+    /// Verdict-memo slots this root has allocated (verify_unmetered's memo
+    /// plus the shared shards). Memos allocate on their first insert, so
+    /// this stays 0 unless real-crypto verification ran.
+    std::size_t memo_allocated_slots() const;
+
   private:
     friend class NodeCrypto;
 

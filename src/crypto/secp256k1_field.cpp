@@ -1,4 +1,6 @@
 // U256, field (mod p) and scalar (mod n) arithmetic for secp256k1.
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -9,18 +11,26 @@ namespace neo::crypto {
 
 namespace {
 
-using u64 = std::uint64_t;
-using u128 = unsigned __int128;
+using secp256k1_detail::add_mod;
+using secp256k1_detail::cond_sub_mod;
+using secp256k1_detail::kFieldK;
+using secp256k1_detail::mul_512;
+using secp256k1_detail::sqr_512;
+using secp256k1_detail::u128;
+using secp256k1_detail::u64;
 
-// p = 2^256 - kFieldC, little-endian limbs.
+// p = 2^256 - kFieldK, little-endian limbs.
 constexpr U256 kP{{0xFFFFFFFEFFFFFC2Full, 0xFFFFFFFFFFFFFFFFull,
                    0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFFull}};
-constexpr u64 kFieldC = 0x1000003D1ull;  // 2^32 + 977
 
-// Group order n and K = 2^256 - n (129 bits, 3 limbs).
+// Group order n and K = 2^256 - n (129 bits, top limb 1).
 constexpr U256 kN{{0xBFD25E8CD0364141ull, 0xBAAEDCE6AF48A03Bull,
                    0xFFFFFFFFFFFFFFFEull, 0xFFFFFFFFFFFFFFFFull}};
-constexpr u64 kNK[3] = {0x402DA1732FC9BEBFull, 0x4551231950B75FC4ull, 0x1ull};
+constexpr u64 kScalarK[4] = {0x402DA1732FC9BEBFull, 0x4551231950B75FC4ull, 0x1ull, 0};
+
+// The Fermat exponents p - 2 and n - 2 (both low limbs are odd and > 2).
+constexpr U256 kPMinus2{{kP.v[0] - 2, kP.v[1], kP.v[2], kP.v[3]}};
+constexpr U256 kNMinus2{{kN.v[0] - 2, kN.v[1], kN.v[2], kN.v[3]}};
 
 // out = a + b over 4 limbs, returns carry.
 u64 add4(const u64 a[4], const u64 b[4], u64 out[4]) {
@@ -37,90 +47,86 @@ u64 add4(const u64 a[4], const u64 b[4], u64 out[4]) {
 u64 sub4(const u64 a[4], const u64 b[4], u64 out[4]) {
     u64 borrow = 0;
     for (int i = 0; i < 4; ++i) {
-        u64 bi = b[i];
-        u64 t = a[i] - bi;
-        u64 borrow_out = (a[i] < bi) ? 1 : 0;
-        u64 t2 = t - borrow;
-        if (t < borrow) borrow_out = 1;
-        out[i] = t2;
-        borrow = borrow_out;
+        u128 d = (u128)a[i] - b[i] - borrow;
+        out[i] = (u64)d;
+        borrow = (u64)(d >> 64) & 1;
     }
     return borrow;
 }
 
-// Dedicated 4-limb squaring: the off-diagonal products are symmetric, so
-// compute each once and double. ~25% fewer 64x64 multiplies than mul4x4
-// with itself — and point doubling (the scalar-mul hot loop) is mostly
-// squarings.
-void sqr4(const u64 a[4], u64 t[8]) {
-    // Off-diagonal sum: sum_{i<j} a[i]*a[j] shifted into place.
-    u64 od[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (int i = 0; i < 4; ++i) {
-        u64 carry = 0;
-        for (int j = i + 1; j < 4; ++j) {
-            u128 cur = (u128)a[i] * a[j] + od[i + j] + carry;
-            od[i + j] = (u64)cur;
-            carry = (u64)(cur >> 64);
+// out = lo + hi·K: one fold of 2^256 ≡ K (mod n) applied to the value
+// lo + hi·2^256. Fixed loop bounds; the NH + 4 output limbs hold every
+// carry.
+template <int NH>
+void fold_scalar_k(const u64 lo[4], const u64 hi[NH], u64 out[NH + 4]) {
+    for (int i = 0; i < NH + 4; ++i) out[i] = i < 4 ? lo[i] : 0;
+    for (int i = 0; i < NH; ++i) {
+        u128 acc = 0;
+        for (int j = 0; j < 3; ++j) {
+            acc += (u128)hi[i] * kScalarK[j] + out[i + j];
+            out[i + j] = (u64)acc;
+            acc >>= 64;
         }
-        od[i + 4] = carry;
-    }
-    // t = 2*od.
-    u64 carry = 0;
-    for (int i = 0; i < 8; ++i) {
-        u64 hi = od[i] >> 63;
-        t[i] = (od[i] << 1) | carry;
-        carry = hi;
-    }
-    // t += diagonal squares.
-    u128 c = 0;
-    for (int i = 0; i < 4; ++i) {
-        u128 sq = (u128)a[i] * a[i];
-        u128 lo = (u128)t[2 * i] + (u64)sq + (u64)c;
-        t[2 * i] = (u64)lo;
-        u128 hi = (u128)t[2 * i + 1] + (u64)(sq >> 64) + (u64)(lo >> 64);
-        t[2 * i + 1] = (u64)hi;
-        c = hi >> 64;
-    }
-    NEO_ASSERT(c == 0);  // a < 2^256 so a^2 < 2^512: no carry out of t[7]
-}
-
-// Schoolbook 4x4 -> 8 limb multiply.
-void mul4x4(const u64 a[4], const u64 b[4], u64 t[8]) {
-    std::memset(t, 0, 8 * sizeof(u64));
-    for (int i = 0; i < 4; ++i) {
-        u64 carry = 0;
-        for (int j = 0; j < 4; ++j) {
-            u128 cur = (u128)a[i] * b[j] + t[i + j] + carry;
-            t[i + j] = (u64)cur;
-            carry = (u64)(cur >> 64);
+        for (int j = i + 3; j < NH + 4; ++j) {
+            acc += out[j];
+            out[j] = (u64)acc;
+            acc >>= 64;
         }
-        t[i + 4] = carry;
     }
 }
 
-// Generic multiprecision multiply: a (na limbs) * b (nb limbs) -> out (na+nb).
-void mp_mul(const u64* a, int na, const u64* b, int nb, u64* out) {
-    std::memset(out, 0, static_cast<std::size_t>(na + nb) * sizeof(u64));
-    for (int i = 0; i < na; ++i) {
-        u64 carry = 0;
-        for (int j = 0; j < nb; ++j) {
-            u128 cur = (u128)a[i] * b[j] + out[i + j] + carry;
-            out[i + j] = (u64)cur;
-            carry = (u64)(cur >> 64);
-        }
-        out[i + nb] = carry;
-    }
+// r = t mod n for a 512-bit t, in three fixed folds and one conditional
+// subtract (K has 129 bits):
+//   t < 2^512              -> m = t_lo + t_hi·K < 2^386   (7 limbs)
+//   m                      -> q = m_lo + m_hi·K < 2^259   (5 limbs)
+//   q                      -> v = q_lo + q_hi·K < 2^256 + 2^132 < 2n
+void scalar_reduce_512(const u64 t[8], u64 r[4]) {
+    u64 m[8];
+    fold_scalar_k<4>(t, t + 4, m);
+    u64 q[7];
+    fold_scalar_k<3>(m, m + 4, q);
+    u64 v[5];
+    fold_scalar_k<1>(q, q + 4, v);
+    for (int i = 0; i < 4; ++i) r[i] = v[i];
+    cond_sub_mod(r, v[4], kScalarK);
 }
 
-// a += b where a has na limbs, b has nb limbs (nb <= na). Returns carry.
-u64 mp_add_into(u64* a, int na, const u64* b, int nb) {
-    u128 carry = 0;
-    for (int i = 0; i < na; ++i) {
-        u128 cur = (u128)a[i] + (i < nb ? b[i] : 0) + carry;
-        a[i] = (u64)cur;
-        carry = cur >> 64;
+// x^e for a public exponent e != 0: a left-to-right sliding window of
+// width 5 over the odd powers odd[i] = x^(2i+1). Which squarings and
+// multiplies run, and which table entry each multiply reads, depend on e
+// alone, never on x; with constant-time mul/sqr the whole routine is
+// constant-time in x. For e = p - 2 it costs 252 squarings and 66
+// multiplies (one squaring and 15 multiplies build the table); for
+// e = n - 2, 252 and 63.
+template <class T>
+T pow_public_exponent(const T& x, const U256& e) {
+    constexpr int kWidth = 5;
+    std::array<T, 1 << (kWidth - 1)> odd;
+    odd[0] = x;
+    const T x2 = x.sqr();
+    for (std::size_t i = 1; i < odd.size(); ++i) odd[i] = odd[i - 1].mul(x2);
+
+    T acc = x;
+    bool started = false;
+    for (int i = 255; i >= 0;) {
+        if (!e.bit(i)) {
+            if (started) acc = acc.sqr();
+            --i;
+            continue;
+        }
+        // The window e[i..lo] is at most kWidth bits and ends on a set bit.
+        int lo = std::max(i - kWidth + 1, 0);
+        while (!e.bit(lo)) ++lo;
+        unsigned digit = 0;
+        for (int j = i; j >= lo; --j) {
+            digit = (digit << 1) | static_cast<unsigned>(e.bit(j));
+            if (started) acc = acc.sqr();
+        }
+        acc = started ? acc.mul(odd[digit >> 1]) : odd[digit >> 1];
+        started = true;
+        i = lo - 1;
     }
-    return (u64)carry;
+    return acc;
 }
 
 // x >>= 1 over 4 limbs, shifting `top` into bit 255.
@@ -130,8 +136,9 @@ void shr1(u64 x[4], u64 top) {
 }
 
 // Variable-time modular inverse (binary extended GCD) for an ODD modulus m;
-// requires gcd(x, m) == 1 and 0 < x < m. Several times faster than the
-// Fermat ladder but with value-dependent timing — verification-side only.
+// requires gcd(x, m) == 1 and 0 < x < m. Several times faster than
+// pow_public_exponent but with value-dependent timing — verification-side
+// only.
 U256 mod_inverse_vartime(const U256& x, const U256& m) {
     u64 u[4], v[4], x1[4] = {1, 0, 0, 0}, x2[4] = {0, 0, 0, 0};
     std::memcpy(u, x.v.data(), sizeof(u));
@@ -176,99 +183,6 @@ U256 mod_inverse_vartime(const U256& x, const U256& m) {
 
     U256 out;
     std::memcpy(out.v.data(), is_one(u) ? x1 : x2, sizeof(x1));
-    return out;
-}
-
-// Reduce a 256-bit value that may be >= p (but < 2*p after ops) by
-// conditional subtraction.
-void field_normalize(U256& x) {
-    while (u256_cmp(x, kP) >= 0) {
-        u64 out[4];
-        sub4(x.v.data(), kP.v.data(), out);
-        std::memcpy(x.v.data(), out, sizeof(out));
-    }
-}
-
-// Reduce an 8-limb product mod p using 2^256 ≡ kFieldC.
-U256 field_reduce_wide(const u64 t[8]) {
-    // r = lo + hi * C   (5 limbs)
-    u64 r[5];
-    std::memcpy(r, t, 4 * sizeof(u64));
-    r[4] = 0;
-    u64 carry = 0;
-    for (int i = 0; i < 4; ++i) {
-        u128 cur = (u128)t[4 + i] * kFieldC + r[i] + carry;
-        r[i] = (u64)cur;
-        carry = (u64)(cur >> 64);
-    }
-    r[4] = carry;
-
-    // Fold r[4] (<= ~2^33): r' = r[0..3] + r[4] * C.
-    u128 cur = (u128)r[4] * kFieldC + r[0];
-    r[0] = (u64)cur;
-    carry = (u64)(cur >> 64);
-    for (int i = 1; i < 4; ++i) {
-        u128 c2 = (u128)r[i] + carry;
-        r[i] = (u64)c2;
-        carry = (u64)(c2 >> 64);
-    }
-    // A final carry means the value wrapped 2^256 once more; 2^256 ≡ C.
-    while (carry) {
-        u128 c3 = (u128)r[0] + kFieldC;
-        r[0] = (u64)c3;
-        carry = (u64)(c3 >> 64);
-        for (int i = 1; i < 4 && carry; ++i) {
-            u128 c4 = (u128)r[i] + carry;
-            r[i] = (u64)c4;
-            carry = (u64)(c4 >> 64);
-        }
-    }
-
-    U256 out;
-    std::memcpy(out.v.data(), r, 4 * sizeof(u64));
-    field_normalize(out);
-    return out;
-}
-
-void scalar_normalize(U256& x) {
-    while (u256_cmp(x, kN) >= 0) {
-        u64 out[4];
-        sub4(x.v.data(), kN.v.data(), out);
-        std::memcpy(x.v.data(), out, sizeof(out));
-    }
-}
-
-// Reduce an 8-limb value mod n using 2^256 ≡ K (3 limbs).
-U256 scalar_reduce_wide(const u64 t_in[8]) {
-    u64 t[12];
-    std::memcpy(t, t_in, 8 * sizeof(u64));
-    std::memset(t + 8, 0, 4 * sizeof(u64));
-
-    // Repeatedly fold the limbs above 4 down: value = lo + hi * K. Each fold
-    // shrinks the value by ~127 bits; 6 rounds always suffice for a 512-bit
-    // input (the last possible round handles a single wrap past 2^256).
-    for (int round = 0; round < 6; ++round) {
-        bool high_nonzero = false;
-        for (int i = 4; i < 12; ++i) high_nonzero = high_nonzero || (t[i] != 0);
-        if (!high_nonzero) break;
-        NEO_ASSERT_MSG(round < 5, "scalar wide reduction did not converge");
-
-        u64 hi[8];
-        std::memcpy(hi, t + 4, 8 * sizeof(u64));
-        u64 prod[11];  // 8 + 3 limbs
-        mp_mul(hi, 8, kNK, 3, prod);
-
-        u64 next[12];
-        std::memcpy(next, t, 4 * sizeof(u64));
-        std::memset(next + 4, 0, 8 * sizeof(u64));
-        u64 carry = mp_add_into(next, 12, prod, 11);
-        NEO_ASSERT(carry == 0);
-        std::memcpy(t, next, sizeof(next));
-    }
-
-    U256 out;
-    std::memcpy(out.v.data(), t, 4 * sizeof(u64));
-    scalar_normalize(out);
     return out;
 }
 
@@ -329,7 +243,7 @@ Fe Fe::from_u64(std::uint64_t x) {
 Fe Fe::from_u256(const U256& x) {
     Fe f;
     f.n_ = x;
-    field_normalize(f.n_);
+    cond_sub_mod(f.n_.v.data(), 0, kFieldK);  // x < 2^256 < 2p
     return f;
 }
 
@@ -342,68 +256,9 @@ std::optional<Fe> Fe::from_be_bytes_checked(BytesView b32) {
     return f;
 }
 
-Fe Fe::add(const Fe& o) const {
-    Fe out;
-    u64 carry = add4(n_.v.data(), o.n_.v.data(), out.n_.v.data());
-    if (carry) {
-        // value = 2^256 + r ≡ r + C (mod p)
-        u64 c[4] = {kFieldC, 0, 0, 0};
-        u64 carry2 = add4(out.n_.v.data(), c, out.n_.v.data());
-        NEO_ASSERT(carry2 == 0);
-    }
-    field_normalize(out.n_);
-    return out;
-}
-
-Fe Fe::sub(const Fe& o) const {
-    Fe out;
-    u64 borrow = sub4(n_.v.data(), o.n_.v.data(), out.n_.v.data());
-    if (borrow) {
-        u64 carry = add4(out.n_.v.data(), kP.v.data(), out.n_.v.data());
-        (void)carry;  // wraps back into range
-    }
-    return out;
-}
-
-Fe Fe::mul(const Fe& o) const {
-    u64 t[8];
-    mul4x4(n_.v.data(), o.n_.v.data(), t);
-    Fe out;
-    out.n_ = field_reduce_wide(t);
-    return out;
-}
-
-Fe Fe::sqr() const {
-    u64 t[8];
-    sqr4(n_.v.data(), t);
-    Fe out;
-    out.n_ = field_reduce_wide(t);
-    return out;
-}
-
-Fe Fe::negate() const {
-    if (is_zero()) return *this;
-    Fe out;
-    u64 borrow = sub4(kP.v.data(), n_.v.data(), out.n_.v.data());
-    NEO_ASSERT(borrow == 0);
-    return out;
-}
-
-Fe Fe::pow(const U256& e) const {
-    Fe result = Fe::one();
-    for (int i = 255; i >= 0; --i) {
-        result = result.sqr();
-        if (e.bit(i)) result = result.mul(*this);
-    }
-    return result;
-}
-
 Fe Fe::inverse() const {
     NEO_ASSERT_MSG(!is_zero(), "field inverse of zero");
-    // p - 2
-    U256 e = kP;
-    e.v[0] -= 2;  // p's low limb is odd and > 2; no borrow
-    return pow(e);
+    return pow_public_exponent(*this, kPMinus2);
 }
 
 Fe Fe::inverse_vartime() const {
@@ -442,7 +297,7 @@ Scalar Scalar::from_u64(std::uint64_t x) {
 Scalar Scalar::from_u256_reduce(const U256& x) {
     Scalar s;
     s.n_ = x;
-    scalar_normalize(s.n_);
+    cond_sub_mod(s.n_.v.data(), 0, kScalarK);  // x < 2^256 < 2n
     return s;
 }
 
@@ -457,52 +312,38 @@ std::optional<Scalar> Scalar::from_be_bytes_checked(BytesView b32) {
 
 Scalar Scalar::add(const Scalar& o) const {
     Scalar out;
-    u64 carry = add4(n_.v.data(), o.n_.v.data(), out.n_.v.data());
-    if (carry) {
-        // value = 2^256 + r ≡ r + K (mod n)
-        u64 k4[4] = {kNK[0], kNK[1], kNK[2], 0};
-        u64 carry2 = add4(out.n_.v.data(), k4, out.n_.v.data());
-        NEO_ASSERT(carry2 == 0);
-    }
-    scalar_normalize(out.n_);
+    add_mod(n_.v.data(), o.n_.v.data(), out.n_.v.data(), kScalarK);
     return out;
 }
 
 Scalar Scalar::mul(const Scalar& o) const {
     u64 t[8];
-    mul4x4(n_.v.data(), o.n_.v.data(), t);
+    mul_512(n_.v.data(), o.n_.v.data(), t);
     Scalar out;
-    out.n_ = scalar_reduce_wide(t);
+    scalar_reduce_512(t, out.n_.v.data());
     return out;
 }
 
 Scalar Scalar::sqr() const {
     u64 t[8];
-    sqr4(n_.v.data(), t);
+    sqr_512(n_.v.data(), t);
     Scalar out;
-    out.n_ = scalar_reduce_wide(t);
+    scalar_reduce_512(t, out.n_.v.data());
     return out;
 }
 
 Scalar Scalar::negate() const {
-    if (is_zero()) return *this;
+    // n - x, masked to 0 when x == 0 (x < n, so the subtract never borrows).
     Scalar out;
-    u64 borrow = sub4(kN.v.data(), n_.v.data(), out.n_.v.data());
-    NEO_ASSERT(borrow == 0);
+    sub4(kN.v.data(), n_.v.data(), out.n_.v.data());
+    const u64 nonzero = 0 - static_cast<u64>((n_.v[0] | n_.v[1] | n_.v[2] | n_.v[3]) != 0);
+    for (u64& limb : out.n_.v) limb &= nonzero;
     return out;
 }
 
 Scalar Scalar::inverse() const {
     NEO_ASSERT_MSG(!is_zero(), "scalar inverse of zero");
-    // Fermat: x^(n-2) mod n.
-    U256 e = kN;
-    e.v[0] -= 2;
-    Scalar result = Scalar::one();
-    for (int i = 255; i >= 0; --i) {
-        result = result.sqr();
-        if (e.bit(i)) result = result.mul(*this);
-    }
-    return result;
+    return pow_public_exponent(*this, kNMinus2);
 }
 
 Scalar Scalar::inverse_vartime() const {

@@ -1,7 +1,9 @@
 // secp256k1 group arithmetic: Jacobian point operations, the generator
 // precompute table (mirroring the paper's FPGA coprocessor design, §4.4),
 // and scalar multiplication.
+#include <algorithm>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -178,11 +180,11 @@ Jac point_mul_jac(const AffinePoint& p, const Scalar& k) {
 
 // Width-5 wNAF recoding: digits are 0 or odd in [-15, 15]; at most one
 // nonzero digit in any 5 consecutive positions (average density 1/6).
-// Returns the digit count (<= 257).
-int wnaf5(const Scalar& s, std::int8_t digits[257]) {
+// Returns the digit count (<= 257; <= 131 for a GLV half below 2^129).
+int wnaf5(const U256& s, std::int8_t digits[257]) {
     // 5 limbs: the "k -= d" step with d < 0 adds up to 15, which can carry
-    // past 2^256 for scalars near the top of the range.
-    std::uint64_t k[5] = {s.raw().v[0], s.raw().v[1], s.raw().v[2], s.raw().v[3], 0};
+    // past 2^256 for values near the top of the range.
+    std::uint64_t k[5] = {s.v[0], s.v[1], s.v[2], s.v[3], 0};
     auto is_zero = [&] { return (k[0] | k[1] | k[2] | k[3] | k[4]) == 0; };
     auto shr1_5 = [&] {
         for (int i = 0; i < 4; ++i) k[i] = (k[i] >> 1) | (k[i + 1] << 63);
@@ -215,6 +217,62 @@ int wnaf5(const Scalar& s, std::int8_t digits[257]) {
 AffinePoint affine_negate(const AffinePoint& p) {
     if (p.infinity) return p;
     return AffinePoint{p.x, p.y.negate(), false};
+}
+
+// GLV constants. β and λ are the cube roots of unity with λ·(x, y) =
+// (β·x, y). The split rounds k against the reduced lattice basis
+// v1 = (a1, b1), v2 = (a2, b2) of {(a, b) : a + b·λ ≡ 0 (mod n)}:
+//   a1 = b2 = 0x3086d221a7d46bcde86c90e49284eb15
+//   b1 = -0xe4437ed6010e88286f547fa90abfe4c3
+//   a2 = 0x114ca50f7a8e2f3f657c1108d9d44cfd8
+// with g1 = round(2^384·b2/n) and g2 = round(2^384·(-b1)/n) precomputed so
+// that c_i = round(k·g_i / 2^384) needs no division. The roots and the
+// pairing are checked in tests, and the split's bound |k1|, |k2| < 2^129
+// (which a wrong basis or g would break) is checked on random and boundary
+// scalars.
+struct GlvConstants {
+    Fe beta;
+    Scalar lambda;
+    Scalar minus_lambda;
+    U256 g1;
+    U256 g2;
+    Scalar minus_b1;
+    Scalar minus_b2;
+};
+
+const GlvConstants& glv() {
+    static const GlvConstants c = [] {
+        auto scalar = [](std::string_view hex) {
+            return Scalar::from_be_bytes_reduce(from_hex_strict(hex));
+        };
+        GlvConstants k;
+        k.beta = *Fe::from_be_bytes_checked(
+            from_hex_strict("7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee"));
+        k.lambda = scalar("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+        k.minus_lambda = k.lambda.negate();
+        k.g1 = U256::from_be_bytes(
+            from_hex_strict("3086d221a7d46bcde86c90e49284eb153daa8a1471e8ca7fe893209a45dbb031"));
+        k.g2 = U256::from_be_bytes(
+            from_hex_strict("e4437ed6010e88286f547fa90abfe4c4221208ac9df506c61571b4ae8ac47f71"));
+        k.minus_b1 = scalar("00000000000000000000000000000000e4437ed6010e88286f547fa90abfe4c3");
+        k.minus_b2 = scalar("fffffffffffffffffffffffffffffffe8a280ac50774346dd765cda83db1562c");
+        return k;
+    }();
+    return c;
+}
+
+// round(k·g / 2^384): the top 128 bits of the 512-bit product plus its
+// bit 383. k < n and g < 2^256 keep the rounded value below 2^128.
+Scalar mul_shift_384(const Scalar& k, const U256& g) {
+    using secp256k1_detail::u128;
+    using secp256k1_detail::u64;
+    u64 t[8];
+    secp256k1_detail::mul_512(k.raw().v.data(), g.v.data(), t);
+    U256 out;
+    const u128 acc = static_cast<u128>(t[6]) + (t[5] >> 63);
+    out.v[0] = static_cast<u64>(acc);
+    out.v[1] = t[7] + static_cast<u64>(acc >> 64);
+    return Scalar::from_u256_reduce(out);
 }
 
 }  // namespace
@@ -276,11 +334,25 @@ AffinePoint double_mul(const Scalar& u1, const AffinePoint& q, const Scalar& u2)
     return to_affine(acc);
 }
 
+Fe glv_beta() { return glv().beta; }
+Scalar glv_lambda() { return glv().lambda; }
+
+std::pair<Scalar, Scalar> glv_split(const Scalar& k) {
+    const GlvConstants& c = glv();
+    Scalar c1 = mul_shift_384(k, c.g1);
+    Scalar c2 = mul_shift_384(k, c.g2);
+    Scalar k2 = c1.mul(c.minus_b1).add(c2.mul(c.minus_b2));
+    Scalar k1 = k2.mul(c.minus_lambda).add(k);
+    return {k1, k2};
+}
+
 // ----------------------------------------------------------------- QTable
 
 QTable::QTable(const AffinePoint& q) : base_(q) {
     if (q.infinity) {
-        for (auto& e : odd_) e = AffinePoint{};  // all identity; adds skip
+        // All identity; adds skip.
+        odd_.fill(AffinePoint{});
+        odd_lambda_.fill(AffinePoint{});
         return;
     }
     // odd_[i] = (2i+1)·Q via repeated addition of 2Q, then one batch
@@ -294,33 +366,56 @@ QTable::QTable(const AffinePoint& q) : base_(q) {
     std::array<Fe, 8> zs;
     for (std::size_t i = 0; i < jacs.size(); ++i) zs[i] = jacs[i].z;
     fe_batch_inverse(zs.data(), zs.size());
+    const Fe beta = glv_beta();
     for (std::size_t i = 0; i < jacs.size(); ++i) {
         Fe zinv2 = zs[i].sqr();
         odd_[i].x = jacs[i].x.mul(zinv2);
         odd_[i].y = jacs[i].y.mul(zinv2).mul(zs[i]);
         odd_[i].infinity = false;
+        odd_lambda_[i] = AffinePoint{odd_[i].x.mul(beta), odd_[i].y, false};
     }
 }
 
 namespace {
 
-// Shared accumulation for QTable's two entry points: u1·G + u2·Q in
-// Jacobian coordinates, Q-side via wNAF-5 over the precomputed odd
-// multiples, G-side via the window comb (additions only, appended after the
-// doubling loop so doublings are paid once for the 256-bit length).
-Jac qtable_double_mul_jac(const std::array<AffinePoint, 8>& odd, const Scalar& u1,
-                          const Scalar& u2) {
+// One GLV half of a wNAF walk: |k| and whether the half is negative (see
+// glv_split), recoded into digits.
+struct WnafHalf {
     std::int8_t digits[257];
-    int len = wnaf5(u2, digits);
+    int len = 0;
+    bool negative = false;
+
+    explicit WnafHalf(const Scalar& k) {
+        negative = k.raw().v[3] != 0;
+        len = wnaf5(negative ? k.negate().raw() : k.raw(), digits);
+    }
+
+    // Adds digit i's odd multiple from `odd` (negated when the digit and
+    // the half's sign disagree).
+    void add_digit(Jac& acc, const std::array<AffinePoint, 8>& odd, int i) const {
+        if (i >= len || digits[i] == 0) return;
+        int d = digits[i];
+        const AffinePoint& p = odd[static_cast<std::size_t>(((d > 0 ? d : -d) - 1) / 2)];
+        acc = jac_add_affine(acc, (d < 0) != negative ? affine_negate(p) : p);
+    }
+};
+
+// Shared accumulation for QTable's two entry points: u1·G + u2·Q in
+// Jacobian coordinates. u2 = k1 + k2·λ, so u2·Q = k1·Q + k2·(λQ): both
+// halves walk their wNAF-5 digits over the precomputed odd multiples in
+// one shared doubling loop of ~129 steps. The G-side (window comb,
+// additions only) is appended after the loop.
+Jac qtable_double_mul_jac(const std::array<AffinePoint, 8>& odd,
+                          const std::array<AffinePoint, 8>& odd_lambda, const Scalar& u1,
+                          const Scalar& u2) {
+    auto [k1, k2] = glv_split(u2);
+    const WnafHalf h1(k1);
+    const WnafHalf h2(k2);
     Jac acc = Jac::identity();
-    for (int i = len - 1; i >= 0; --i) {
+    for (int i = std::max(h1.len, h2.len) - 1; i >= 0; --i) {
         acc = jac_double(acc);
-        std::int8_t d = digits[i];
-        if (d > 0) {
-            acc = jac_add_affine(acc, odd[static_cast<std::size_t>((d - 1) / 2)]);
-        } else if (d < 0) {
-            acc = jac_add_affine(acc, affine_negate(odd[static_cast<std::size_t>((-d - 1) / 2)]));
-        }
+        h1.add_digit(acc, odd, i);
+        h2.add_digit(acc, odd_lambda, i);
     }
     return jac_add(acc, gen_mul_jac(u1));
 }
@@ -328,11 +423,11 @@ Jac qtable_double_mul_jac(const std::array<AffinePoint, 8>& odd, const Scalar& u
 }  // namespace
 
 AffinePoint QTable::double_mul(const Scalar& u1, const Scalar& u2) const {
-    return to_affine(qtable_double_mul_jac(odd_, u1, u2));
+    return to_affine(qtable_double_mul_jac(odd_, odd_lambda_, u1, u2));
 }
 
 bool QTable::double_mul_check_r(const Scalar& u1, const Scalar& u2, const Scalar& r) const {
-    Jac p = qtable_double_mul_jac(odd_, u1, u2);
+    Jac p = qtable_double_mul_jac(odd_, odd_lambda_, u1, u2);
     if (p.infinity()) return false;
     // x(P) mod n == r  ⟺  x(P) == r̃ for r̃ in {r, r+n if r+n < p}
     // (x < p < 2n, so at most one wrap). Projectively, x(P) == r̃ is

@@ -14,7 +14,10 @@
 // can only evict, never alias — and both valid and invalid verdicts are
 // cached (an attacker replaying a bad signature should not force repeated
 // EC math either). Fixed-size open-addressing table, overwrite on
-// collision: bounded memory, no rehashing on the hot path.
+// collision: bounded memory, no rehashing on the hot path. The slots are
+// allocated on the first insert: every node owns a memo, but only nodes
+// that run real-crypto verification ever write one, so clients and
+// modelled-crypto deployments never pay for (or zero) the table.
 #pragma once
 
 #include <array>
@@ -32,18 +35,21 @@ class VerifyMemo {
     static constexpr std::size_t kSigBytes = 64;
 
     /// `slots` is rounded up to a power of two; default ~4096 entries.
+    /// Allocates nothing until the first insert.
     explicit VerifyMemo(std::size_t slots = 4096);
 
     /// Memoised verdict for the tuple, or nullptr on miss. Counts a hit or
-    /// a miss; the caller performs (and inserts) the real verification on
-    /// miss.
+    /// a miss (a memo that was never written always misses); the caller
+    /// performs (and inserts) the real verification on miss.
     const bool* find(NodeId signer, const Digest32& digest, BytesView sig);
 
     void insert(NodeId signer, const Digest32& digest, BytesView sig, bool valid);
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-    std::size_t capacity() const { return slots_.size(); }
+    std::size_t capacity() const { return capacity_; }
+    /// Slots actually allocated: 0 until the first insert, then capacity().
+    std::size_t allocated_slots() const { return slots_.size(); }
 
   private:
     struct Slot {
@@ -56,7 +62,8 @@ class VerifyMemo {
 
     std::size_t index_of(NodeId signer, const Digest32& digest, BytesView sig) const;
 
-    std::vector<Slot> slots_;
+    std::size_t capacity_;
+    std::vector<Slot> slots_;  // empty until the first insert
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

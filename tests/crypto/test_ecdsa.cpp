@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/secp256k1.hpp"
 #include "crypto/sha256.hpp"
@@ -124,6 +125,123 @@ TEST(Ecdsa, ManyKeysRoundTrip) {
 TEST(Ecdsa, PrivateKeyFromSeedNeverZero) {
     EcdsaPrivateKey k = EcdsaPrivateKey::from_seed(Bytes(32, 0));
     EXPECT_FALSE(k.d.is_zero());
+}
+
+// ---------- golden vectors ----------
+//
+// Pinned public keys and r||s for fixed (key seed, message) pairs. Any
+// change to the field, scalar or group arithmetic must reproduce them bit
+// for bit: signatures are deterministic, so they are part of every
+// real-crypto trace. A nonce counter retry
+// (k == 0, r == 0 or s == 0) has probability ~2^-128 per signature, so no
+// seed that exercises it can be found; the retry loop stays untested here.
+struct GoldenVector {
+    std::uint64_t seed;
+    const char* msg;
+    const char* pub_hex;
+    const char* sig_hex;
+};
+
+constexpr GoldenVector kGolden[] = {
+    {1ull, "golden 0",
+     "149bff628719e2aa12c8a0edee557c45b2da14fe112366f269566668b5aaef15"
+     "993d20e5765a030df7052e4b05b376f8a6c85c5f338cc7fd63cb99d26be9eae7",
+     "c9f7e7f306a977ff84b3fe6689f95c572f89e348a1f0adbfca5f848bc624f3c5"
+     "7cb3011e866315d040b90a5806f6bcc57dd58ac65f58d1ad9c7cf9dabea6eec5"},
+    {2ull, "commit request 42",
+     "cdd6f763b2ad6d79e3cbb142f68daa0d1586326557897b5ec56180e0429fb16f"
+     "5409a6a1a56c7da7916557c9a6430eee6f77bcd7c1fd932ca6a7d3930179b0fa",
+     "fd5ba027b874a02dbc47dd41e9e283810c7acba1b4269e19a3338912548cc595"
+     "353d4fd254a01310bee057e46db6f8091c2ff96886e831936391ff0b7ca53b49"},
+    {3ull, "",
+     "e691cf315c7dc196cdcc98b7644ca91030dd2e00f8e62995d55857d504cdf611"
+     "5d514acc3753119c8a0b78c944b90b1b9de0d782cddda0acfe55e751a3282068",
+     "268299b34ede5ae9cd22f09084b2a8c9430e3cafa631172a5e6f762e56fbf1db"
+     "ad7c997469854ac533962d4344e753783e2bdf2cc078c826af1f67da0c2508d5"},
+    {42ull, "neobft aom-pk",
+     "435d5b1a7c03e8b0b05aa81b171b23d2816847df13d8586ef637b3f4563b7542"
+     "2a23bc417340bc697ff84e2d0549d7df66e0bed462a04141c46b7086f4f544a1",
+     "f23ef12e6d9a1c332a3690befd2559581ca0e183d1f75c22ba34c735937f662a"
+     "0930fab07aa67f0c25f64dc97f499906843c8fe0b42c168482d5d8ebbf34367e"},
+    {1000ull, "x",
+     "2cd40c6c5bd7d0902fcd84f5a4772b6db23e85abb93b096c3765f436f3f12e8f"
+     "6aa6a73d1b2d613efd43869887fe12391dc5d0f9513c7e0613037620422f0825",
+     "920aa632ef368af96380d13e73fc96cc17892ae2fdb2534567148c14e28f38c7"
+     "ee4f9346e5b074dd1c6c9ed248359b945fc55a398ca2beb4762e906254fa3b76"},
+    {65537ull, "sequencer batch 7",
+     "1acfe870832950ccaec041f0c3997e3a1b581888065a85d348a38a211ae5d726"
+     "91b73d1436a9e171cf60b9d5fb4d51da72edff7705e49a2318acb4292170a7de",
+     "34138e85f9734360807c53a177c63a3d96afc7c7df2eb9a7679f207676e19eca"
+     "e7918d55f3c65bfdc21855c5362de3454e8f969720025d68496e00bfa78f8188"},
+    {3735928559ull, "view change 3",
+     "6df0e13141c31ff13fe1347a1307dca57e113538ef1b99f576860c70a876fce6"
+     "e58585eb5b86173228d101e51d4cc8e3badc05c9ac479a7621d3ae36b5f1e80f",
+     "3d9f633d0c3adafe52c04984987b99d01d7aab9740d3c06a3774c86af3080c70"
+     "eb47e0cec2752fab9be058a8d93bccaf802091ae964b8cf2bf988518a85f6adb"},
+    {18446744073709551615ull, "the quick brown fox",
+     "f8c772df6e700db21119d7f7d6a12efe6b356e6d6380f036834f1bce35ae15fd"
+     "d6a086254b357440027105236e5285a56893f90e4b19bd603259d9c133523317",
+     "792f1cec10fdde95de41375bfc9bba790b61f768c9034a3609d2c36bf7e5d965"
+     "32d0aac4fa410b1517c6dd9255bc40d88e8f3231b8051db7cf18a7e6749c96a0"},
+};
+
+TEST(EcdsaGolden, SeededKeysAndSignaturesArePinned) {
+    for (const GoldenVector& g : kGolden) {
+        KeyPair kp = make_keys(g.seed);
+        EXPECT_EQ(to_hex(kp.pub.serialize()), g.pub_hex) << g.seed;
+        Digest32 h = sha256(std::string_view(g.msg));
+        EcdsaSignature sig = ecdsa_sign(kp.priv, h);
+        EXPECT_EQ(to_hex(sig.serialize()), g.sig_hex) << g.seed;
+        EXPECT_TRUE(ecdsa_verify(kp.pub, h, sig)) << g.seed;
+    }
+}
+
+// Edge private keys: an all-zero seed maps to d = 1 (so Q = G), an
+// all-ones seed to 2^256 - 1 mod n, the top of the reduced range.
+TEST(EcdsaGolden, EdgePrivateKeysArePinned) {
+    struct Edge {
+        std::uint8_t fill;
+        const char* pub_hex;
+        const char* sig_hex;
+    };
+    const Edge edges[] = {
+        {0x00,
+         "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"
+         "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8",
+         "2da01341b056f7bb641ba80ca103977370e7591d2eefa825d7c65d6f4b1348ab"
+         "914173b78c9ac52e5b34173ba03e0ea26c261f5480ae287f7323802bb7ee5d83"},
+        {0xff,
+         "9166c289b9f905e55f9e3df9f69d7f356b4a22095f894f4715714aa4b56606af"
+         "f181eb966be4acb5cff9e16b66d809be94e214f06c93fd091099af98499255e7",
+         "1eb5a4f19dd80d8fe2e903ea924aeb1e638f1ebd7a3f11ab26a6bee150c57287"
+         "5fe091ebc76c4043175356d1337c9e80676c0d238f09a58983f839670ad73d61"},
+    };
+    for (const Edge& e : edges) {
+        EcdsaPrivateKey priv = EcdsaPrivateKey::from_seed(Bytes(32, e.fill));
+        EcdsaPublicKey pub = ecdsa_derive_public(priv);
+        EXPECT_EQ(to_hex(pub.serialize()), e.pub_hex) << int(e.fill);
+        EXPECT_EQ(to_hex(ecdsa_sign(priv, sha256(std::string_view("edge"))).serialize()),
+                  e.sig_hex)
+            << int(e.fill);
+    }
+}
+
+// 256 random keys, each signing a random digest: one SHA-256 over every
+// pub||sig pins the whole sweep.
+TEST(EcdsaGolden, RandomSweepDigestIsPinned) {
+    Rng rng(77);
+    Bytes all;
+    for (int i = 0; i < 256; ++i) {
+        EcdsaPrivateKey priv = EcdsaPrivateKey::from_seed(rng.bytes(32));
+        Digest32 h = sha256(rng.bytes(40));
+        Bytes pub = ecdsa_derive_public(priv).serialize();
+        Bytes sig = ecdsa_sign(priv, h).serialize();
+        all.insert(all.end(), pub.begin(), pub.end());
+        all.insert(all.end(), sig.begin(), sig.end());
+    }
+    Digest32 d = sha256(all);
+    EXPECT_EQ(to_hex(BytesView(d.data(), d.size())),
+              "c8c61e220e3455774e22b0a57173b373e99a8d4ddd2ae7679524e71028117dce");
 }
 
 class EcdsaSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};

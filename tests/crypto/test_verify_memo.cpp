@@ -105,7 +105,9 @@ TEST(VerifyMemo, CollisionEvictionStaysCorrect) {
     for (std::uint32_t signer = 0; signer < 64; ++signer) {
         d[0] = static_cast<std::uint8_t>(signer);
         const bool* v = memo.find(signer, d, sig);
-        if (v != nullptr) EXPECT_EQ(*v, signer % 2 == 0);
+        if (v != nullptr) {
+            EXPECT_EQ(*v, signer % 2 == 0);
+        }
     }
 }
 
@@ -118,6 +120,66 @@ TEST(VerifyMemo, ModeledModeBypassesTheMemo) {
     EXPECT_TRUE(checker->verify(1, msg, sig));
     EXPECT_TRUE(checker->verify(1, msg, sig));
     EXPECT_EQ(checker->verify_memo().hits() + checker->verify_memo().misses(), 0u);
+}
+
+TEST(VerifyMemo, ModeledDeploymentAllocatesNoSlots) {
+    // Every node owns a memo, but modelled-crypto nodes never write one:
+    // no node memo, shared shard or root memo may hold slot storage.
+    TrustRoot root(CryptoMode::kModeled, /*seed=*/16);
+    std::vector<std::unique_ptr<NodeCrypto>> nodes;
+    for (NodeId id = 1; id <= 5; ++id) nodes.push_back(root.provision(id));
+    Bytes msg = msg_bytes("modeled deployment traffic");
+    for (auto& signer : nodes) {
+        Bytes sig = signer->sign(msg);
+        for (auto& checker : nodes) EXPECT_TRUE(checker->verify(signer->self(), msg, sig));
+        EXPECT_TRUE(root.verify_unmetered(signer->self(), msg, sig));
+    }
+    for (auto& node : nodes) {
+        EXPECT_EQ(node->verify_memo().allocated_slots(), 0u);
+        EXPECT_EQ(node->verify_memo().capacity(), 4096u);
+    }
+    EXPECT_EQ(root.memo_allocated_slots(), 0u);
+}
+
+TEST(VerifyMemo, FirstInsertAllocatesAndEmptyFindMisses) {
+    VerifyMemo memo;
+    Digest32 d{};
+    Bytes sig(VerifyMemo::kSigBytes, 7);
+    EXPECT_EQ(memo.find(1, d, sig), nullptr);  // empty memo: a counted miss
+    EXPECT_EQ(memo.misses(), 1u);
+    EXPECT_EQ(memo.allocated_slots(), 0u);
+    memo.insert(1, d, sig, true);
+    EXPECT_EQ(memo.allocated_slots(), memo.capacity());
+    const bool* v = memo.find(1, d, sig);
+    ASSERT_NE(v, nullptr);
+    EXPECT_TRUE(*v);
+    EXPECT_EQ(memo.hits(), 1u);
+}
+
+TEST(VerifyMemo, RealModeVerdictsAndChargesAcrossFirstAllocation) {
+    // The first verification meets an unallocated memo: it must count one
+    // miss, return the true verdict and charge exactly what a later hit does.
+    TrustRoot root(CryptoMode::kReal, /*seed=*/17);
+    auto signer = root.provision(1);
+    auto checker = root.provision(2);
+    EXPECT_EQ(checker->verify_memo().allocated_slots(), 0u);
+    Bytes msg = msg_bytes("first verification allocates");
+    Bytes sig = signer->sign(msg);
+    Bytes bad = sig;
+    bad[5] ^= 0x10;
+
+    CostMeter& meter = checker->meter();
+    EXPECT_TRUE(checker->verify(1, msg, sig));
+    EXPECT_EQ(checker->verify_memo().misses(), 1u);
+    EXPECT_EQ(checker->verify_memo().allocated_slots(), checker->verify_memo().capacity());
+    std::int64_t miss_sync = meter.drain();
+    std::int64_t miss_async = meter.drain_async();
+    EXPECT_FALSE(checker->verify(1, msg, bad));
+    EXPECT_TRUE(checker->verify(1, msg, sig));
+    EXPECT_FALSE(checker->verify(1, msg, bad));
+    EXPECT_EQ(checker->verify_memo().hits(), 2u);
+    EXPECT_EQ(meter.drain(), 3 * miss_sync);
+    EXPECT_EQ(meter.drain_async(), 3 * miss_async);
 }
 
 }  // namespace
