@@ -14,41 +14,6 @@
 using namespace neo;
 using namespace neo::bench;
 
-namespace {
-
-struct Family {
-    std::string name;   // table heading
-    std::string label;  // point-name prefix
-    std::function<std::unique_ptr<Deployment>(std::size_t batch, const RunCtx& ctx)> make;
-};
-
-std::vector<Family> families() {
-    return {
-        {"PBFT", "pbft",
-         [](std::size_t batch, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = 256;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.batch_max = batch;
-             p.batch_delay = 2 * sim::kMillisecond;  // large batches need patience
-             return make_pbft(p);
-         }},
-        {"HotStuff", "hotstuff",
-         [](std::size_t batch, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = 256;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.batch_max = batch;
-             p.batch_delay = 2 * sim::kMillisecond;
-             return make_hotstuff(p);
-         }},
-    };
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
     BenchMain bm(argc, argv, "ablation_batching");
     std::printf("=== Ablation: baseline request batching (256 clients) ===\n");
@@ -58,15 +23,21 @@ int main(int argc, char** argv) {
     const sim::Time warmup = bm.quick() ? 10 * sim::kMillisecond : 40 * sim::kMillisecond;
     const sim::Time measure = bm.quick() ? 40 * sim::kMillisecond : 160 * sim::kMillisecond;
 
-    const std::vector<Family> fams = families();
+    const System fams[] = {System::kPbft, System::kHotStuff};
     std::vector<BenchPointSpec> points;
-    for (const Family& fam : fams) {
+    for (System sys : fams) {
         for (std::size_t batch : batches) {
             points.push_back({
-                fam.label + ".b" + std::to_string(batch),
+                system_label(sys) + std::string(".b") + std::to_string(batch),
                 {{"batch_max", static_cast<double>(batch)}},
-                [&fam, batch, warmup, measure](RunCtx& ctx) {
-                    auto d = fam.make(batch, ctx);
+                [sys, batch, warmup, measure](RunCtx& ctx) {
+                    CommonParams p;
+                    p.n_clients = 256;
+                    p.seed = ctx.seed();
+                    p.sim_threads = ctx.sim_threads();
+                    p.batch_max = batch;
+                    p.batch_delay = 2 * sim::kMillisecond;  // large batches need patience
+                    auto d = make_system(sys, p);
                     auto obs = ctx.attach(*d);
                     Measured m = run_closed_loop(*d, echo_ops(64), warmup, measure);
                     return std::map<std::string, double>{{"tput_ops", m.throughput_ops},
@@ -79,8 +50,8 @@ int main(int argc, char** argv) {
     std::vector<PointResult> results = bm.run(points);
 
     std::size_t i = 0;
-    for (const Family& fam : fams) {
-        std::printf("\n--- %s ---\n", fam.name.c_str());
+    for (System sys : fams) {
+        std::printf("\n--- %s ---\n", system_name(sys));
         TablePrinter table({"batch_max", "tput_ops", "p50_us", "p99_us"});
         for (std::size_t batch : batches) {
             const PointResult& r = results[i++];

@@ -59,94 +59,6 @@ OpGen ycsb_ops(const std::shared_ptr<app::YcsbWorkload>& base_cfg) {
     };
 }
 
-struct Protocol {
-    std::string name;
-    std::string label;
-    // Built inside the job: the workload template is per-run (load_into is
-    // called from the deployment's constructor on the worker thread).
-    std::function<std::unique_ptr<Deployment>(const std::shared_ptr<app::YcsbWorkload>& workload,
-                                              const RunCtx& ctx)>
-        make;
-    bool trace_candidate = false;
-};
-
-std::vector<Protocol> protocols() {
-    auto neo = [](NeoVariant variant) {
-        return [variant](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-            NeoParams p;
-            p.n_clients = kClients;
-            p.seed = ctx.seed();
-            p.sim_threads = ctx.sim_threads();
-            p.variant = variant;
-            p.app_factory = neo_app_factory(workload);
-            return make_neobft(p);
-        };
-    };
-    return {
-        {"Unreplicated", "unreplicated",
-         [](const std::shared_ptr<app::YcsbWorkload>&, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             // The unreplicated server echoes; attaching KV semantics via
-             // the baseline hook is not supported there -> report echo
-             // service rate as the upper bound (documented in EXPERIMENTS.md).
-             return make_unreplicated(p);
-         }},
-        {"Neo-HM", "neo_hm", neo(NeoVariant::kHm), true},
-        {"Neo-PK", "neo_pk", neo(NeoVariant::kPk)},
-        {"Neo-BN", "neo_bn", neo(NeoVariant::kBn)},
-        {"Zyzzyva", "zyzzyva",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             ZyzzyvaParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.baseline_app_factory = baseline_app_factory(workload);
-             return make_zyzzyva(p);
-         }},
-        {"Zyzzyva-F", "zyzzyva_f",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             ZyzzyvaParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.faulty_replica = true;
-             p.baseline_app_factory = baseline_app_factory(workload);
-             return make_zyzzyva(p);
-         }},
-        {"PBFT", "pbft",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.baseline_app_factory = baseline_app_factory(workload);
-             return make_pbft(p);
-         }},
-        {"HotStuff", "hotstuff",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.batch_max = 32;
-             p.baseline_app_factory = baseline_app_factory(workload);
-             return make_hotstuff(p);
-         }},
-        {"MinBFT", "minbft",
-         [](const std::shared_ptr<app::YcsbWorkload>& workload, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.baseline_app_factory = baseline_app_factory(workload);
-             return make_minbft(p);
-         }},
-    };
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,29 +70,39 @@ int main(int argc, char** argv) {
     const sim::Time warmup = bm.quick() ? 10 * sim::kMillisecond : 30 * sim::kMillisecond;
     const sim::Time measure = bm.quick() ? 40 * sim::kMillisecond : 120 * sim::kMillisecond;
 
-    const std::vector<Protocol> protos = protocols();
     std::vector<BenchPointSpec> points;
-    for (const Protocol& proto : protos) {
+    for (System sys : kAllSystems) {
         points.push_back({
-            proto.label,
+            system_label(sys),
             {{"clients", static_cast<double>(kClients)}},
-            [&proto, &bm, warmup, measure](RunCtx& ctx) {
+            [sys, &bm, warmup, measure](RunCtx& ctx) {
+                // The workload template is per run: the app factories load
+                // it into each replica on the worker thread. The unreplicated
+                // server ignores them and echoes, so its row is the echo
+                // service rate, an upper bound (EXPERIMENTS.md).
                 auto workload =
                     std::make_shared<app::YcsbWorkload>(ycsb_config(bm.quick()), 17);
-                auto d = proto.make(workload, ctx);
+                CommonParams p;
+                p.n_clients = kClients;
+                p.seed = ctx.seed();
+                p.sim_threads = ctx.sim_threads();
+                if (sys == System::kHotStuff) p.batch_max = 32;
+                p.app_factory = neo_app_factory(workload);
+                p.baseline_app_factory = baseline_app_factory(workload);
+                auto d = make_system(sys, p);
                 auto obs = ctx.attach(*d);
                 Measured m = run_closed_loop(*d, ycsb_ops(workload), warmup, measure);
                 return std::map<std::string, double>{{"tput_ops", m.throughput_ops},
                                                      {"p50_us", m.p50_us},
                                                      {"p99_us", m.p99_us}};
             },
-            proto.trace_candidate,
+            sys == System::kNeoHm,
         });
     }
     std::vector<PointResult> results = bm.run(points);
 
-    for (std::size_t i = 0; i < protos.size(); ++i) {
-        std::printf("  %-28s %10.0f txns/s   (p50 %.1fus)\n", protos[i].name.c_str(),
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        std::printf("  %-28s %10.0f txns/s   (p50 %.1fus)\n", system_name(kAllSystems[i]),
                     results[i].mean("tput_ops"), results[i].mean("p50_us"));
     }
 

@@ -8,110 +8,6 @@
 using namespace neo;
 using namespace neo::bench;
 
-namespace {
-
-struct Protocol {
-    std::string name;   // table heading
-    std::string label;  // point-name prefix
-    std::function<std::unique_ptr<Deployment>(int clients, const RunCtx& ctx)> make;
-    bool trace_candidate = false;
-};
-
-std::vector<Protocol> protocols() {
-    return {
-        {"Unreplicated", "unreplicated",
-         [](int clients, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = clients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.crypto_mode = ctx.crypto_mode();
-             return make_unreplicated(p);
-         }},
-        {"Neo-HM", "neo_hm",
-         [](int clients, const RunCtx& ctx) {
-             NeoParams p;
-             p.n_clients = clients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.crypto_mode = ctx.crypto_mode();
-             p.variant = NeoVariant::kHm;
-             return make_neobft(p);
-         },
-         true},
-        {"Neo-PK", "neo_pk",
-         [](int clients, const RunCtx& ctx) {
-             NeoParams p;
-             p.n_clients = clients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.crypto_mode = ctx.crypto_mode();
-             p.variant = NeoVariant::kPk;
-             return make_neobft(p);
-         }},
-        {"Neo-BN (Byzantine network)", "neo_bn",
-         [](int clients, const RunCtx& ctx) {
-             NeoParams p;
-             p.n_clients = clients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.crypto_mode = ctx.crypto_mode();
-             p.variant = NeoVariant::kBn;
-             return make_neobft(p);
-         }},
-        {"Zyzzyva", "zyzzyva",
-         [](int clients, const RunCtx& ctx) {
-             ZyzzyvaParams p;
-             p.n_clients = clients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.crypto_mode = ctx.crypto_mode();
-             return make_zyzzyva(p);
-         }},
-        {"Zyzzyva-F (one faulty replica)", "zyzzyva_f",
-         [](int clients, const RunCtx& ctx) {
-             ZyzzyvaParams p;
-             p.n_clients = clients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.crypto_mode = ctx.crypto_mode();
-             p.faulty_replica = true;
-             return make_zyzzyva(p);
-         }},
-        {"PBFT", "pbft",
-         [](int clients, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = clients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.crypto_mode = ctx.crypto_mode();
-             return make_pbft(p);
-         }},
-        {"HotStuff", "hotstuff",
-         [](int clients, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = clients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.crypto_mode = ctx.crypto_mode();
-             p.batch_max = 8;  // modest batching (the paper notes aggressive
-             // batching lifts HotStuff's throughput but pushes latency >10ms)
-             return make_hotstuff(p);
-         }},
-        {"MinBFT", "minbft",
-         [](int clients, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = clients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.crypto_mode = ctx.crypto_mode();
-             return make_minbft(p);
-         }},
-    };
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
     BenchMain bm(argc, argv, "fig7_latency_throughput");
     std::printf("=== Figure 7: latency vs throughput, echo-RPC, N=4 (f=1) ===\n");
@@ -126,28 +22,35 @@ int main(int argc, char** argv) {
     const sim::Time warmup = bm.quick() ? 10 * sim::kMillisecond : 40 * sim::kMillisecond;
     const sim::Time measure = bm.quick() ? 40 * sim::kMillisecond : 160 * sim::kMillisecond;
 
-    const std::vector<Protocol> protos = protocols();
     std::vector<BenchPointSpec> points;
-    for (const Protocol& proto : protos) {
+    for (System sys : kAllSystems) {
         for (int clients : client_counts) {
             points.push_back({
-                proto.label + ".c" + std::to_string(clients),
+                system_label(sys) + std::string(".c") + std::to_string(clients),
                 {{"clients", static_cast<double>(clients)}},
-                [&proto, clients, warmup, measure](RunCtx& ctx) {
-                    auto d = proto.make(clients, ctx);
+                [sys, clients, warmup, measure](RunCtx& ctx) {
+                    CommonParams p;
+                    p.n_clients = clients;
+                    p.seed = ctx.seed();
+                    p.sim_threads = ctx.sim_threads();
+                    p.crypto_mode = ctx.crypto_mode();
+                    // Modest batching: the paper notes aggressive batching
+                    // lifts HotStuff's throughput but pushes latency >10ms.
+                    if (sys == System::kHotStuff) p.batch_max = 8;
+                    auto d = make_system(sys, p);
                     auto obs = ctx.attach(*d);
                     Measured m = run_closed_loop(*d, echo_ops(64), warmup, measure);
                     return measured_metrics(m);
                 },
-                proto.trace_candidate,
+                sys == System::kNeoHm,
             });
         }
     }
     std::vector<PointResult> results = bm.run(points);
 
     std::size_t i = 0;
-    for (const Protocol& proto : protos) {
-        std::printf("\n--- %s ---\n", proto.name.c_str());
+    for (System sys : kAllSystems) {
+        std::printf("\n--- %s ---\n", system_name(sys));
         TablePrinter table(
             {"clients", "tput_ops", "p50_us", "mean_us", "p99_us", "net_us", "cpu_us", "queue_us"});
         for (int clients : client_counts) {

@@ -32,40 +32,17 @@ using namespace neo::bench;
 
 namespace {
 
-const std::vector<std::string> kProtocols = {"neo_hm", "neo_pk", "pbft",
-                                             "zyzzyva", "hotstuff", "minbft"};
+const std::vector<System> kProtocols = {System::kNeoHm,   System::kNeoPk,    System::kPbft,
+                                        System::kZyzzyva, System::kHotStuff, System::kMinBft};
 
-std::unique_ptr<Deployment> make_proto(const std::string& proto, std::uint64_t seed,
-                                       unsigned sim_threads, crypto::CryptoMode mode) {
-    if (proto == "neo_hm" || proto == "neo_pk") {
-        NeoParams p;
-        p.variant = proto == "neo_pk" ? NeoVariant::kPk : NeoVariant::kHm;
-        p.n_clients = 4;
-        p.seed = seed;
-        p.sim_threads = sim_threads;
-        p.crypto_mode = mode;
-        p.byz_sequencer = true;
-        p.checkpoint_interval = 128;  // must be a multiple of sync_interval
-        return make_neobft(p);
-    }
-    if (proto == "zyzzyva") {
-        ZyzzyvaParams p;
-        p.n_clients = 4;
-        p.seed = seed;
-        p.sim_threads = sim_threads;
-        p.crypto_mode = mode;
-        return make_zyzzyva(p);
-    }
+std::unique_ptr<Deployment> make_proto(System sys, std::uint64_t seed, unsigned sim_threads,
+                                       crypto::CryptoMode mode) {
     CommonParams p;
     p.n_clients = 4;
     p.seed = seed;
     p.sim_threads = sim_threads;
     p.crypto_mode = mode;
-    if (proto == "pbft") return make_pbft(p);
-    if (proto == "hotstuff") return make_hotstuff(p);
-    if (proto == "minbft") return make_minbft(p);
-    std::fprintf(stderr, "unknown protocol %s\n", proto.c_str());
-    std::abort();
+    return make_scenario_system(sys, p);
 }
 
 /// Scenario names are protocol-independent; the replica-parameterised
@@ -129,14 +106,14 @@ int main(int argc, char** argv) {
         int failures = 0;
         for (int i = 0; i < fuzz_n; ++i) {
             std::uint64_t fuzz_seed = bm.base_seed() + static_cast<std::uint64_t>(i);
-            for (const std::string& proto : {std::string("neo_hm"), std::string("neo_pk")}) {
-                auto d = make_proto(proto, fuzz_seed, bm.opt().sim_threads,
+            for (System sys : {System::kNeoHm, System::kNeoPk}) {
+                auto d = make_proto(sys, fuzz_seed, bm.opt().sim_threads,
                                     bm.opt().real_crypto ? crypto::CryptoMode::kReal
                                                          : crypto::CryptoMode::kModeled);
                 scenario::Scenario sc = scenario::fuzz(fuzz_seed, d->replica_ids(), horizon);
                 ScenarioOutcome out = run_scenario(*d, sc, ops, horizon);
-                std::printf("fuzz seed=%" PRIu64 " proto=%s %s\n", fuzz_seed, proto.c_str(),
-                            out.to_string().c_str());
+                std::printf("fuzz seed=%" PRIu64 " proto=%s %s\n", fuzz_seed,
+                            system_label(sys), out.to_string().c_str());
                 if (!out.ok) ++failures;
             }
         }
@@ -153,19 +130,20 @@ int main(int argc, char** argv) {
                 names.size(), kProtocols.size());
 
     std::vector<BenchPointSpec> points;
-    for (const std::string& proto : kProtocols) {
+    for (System sys : kProtocols) {
+        const std::string proto = system_label(sys);
         for (const std::string& name : names) {
             if (!only.empty() && (proto + "." + name).find(only) == std::string::npos) continue;
             points.push_back({
                 proto + "." + name,
                 {},
-                [proto, name, horizon, &ops](RunCtx& ctx) {
-                    auto d = make_proto(proto, ctx.seed(), ctx.sim_threads(), ctx.crypto_mode());
+                [sys, name, horizon, &ops](RunCtx& ctx) {
+                    auto d = make_proto(sys, ctx.seed(), ctx.sim_threads(), ctx.crypto_mode());
                     auto obs = ctx.attach(*d);
                     scenario::Scenario sc = scenario_by_name(name, d->replica_ids(), horizon);
                     ScenarioOutcome out = run_scenario(*d, sc, ops, horizon);
                     if (!out.ok) {
-                        std::fprintf(stderr, "fig_scenarios: %s %s\n", proto.c_str(),
+                        std::fprintf(stderr, "fig_scenarios: %s %s\n", system_label(sys),
                                      out.to_string().c_str());
                     }
                     return outcome_metrics(out);
@@ -189,8 +167,8 @@ int main(int argc, char** argv) {
         return all_ok ? 0 : 1;
     }
     std::size_t i = 0;
-    for (const std::string& proto : kProtocols) {
-        std::printf("--- %s ---\n", proto.c_str());
+    for (System sys : kProtocols) {
+        std::printf("--- %s ---\n", system_label(sys));
         TablePrinter table({"scenario", "ok", "completed", "min_client", "violations"});
         for (const std::string& name : names) {
             const PointResult& r = results[i++];

@@ -490,23 +490,6 @@ aom::GroupConfig neo_group(NeoVariant variant, GroupId group, std::vector<NodeId
 
 // -------------------------------------------------------------- factories
 
-std::unique_ptr<Deployment> make_unreplicated(const CommonParams& p) {
-    auto t = std::make_unique<Topology>(p, false);
-    const NodeId sid = Topology::kServerId;
-    auto& server =
-        t->add_node(std::make_unique<baselines::UnreplicatedServer>(t->provision(sid)), sid);
-    server.set_auditor(&t->auditor());
-    t->add_metrics(sid, [&server](obs::Registry& reg, const std::string& key) {
-        server.register_rx_metrics(reg, key, &baselines::kind_name);
-    });
-    for (int i = 0; i < p.n_clients; ++i) {
-        NodeId cid = Topology::kClientBase + static_cast<NodeId>(i);
-        t->add_client(std::make_unique<baselines::UnreplicatedClient>(sid, t->provision(cid)),
-                      cid);
-    }
-    return t;
-}
-
 std::unique_ptr<Deployment> make_neobft(const NeoParams& p) {
     auto t = std::make_unique<Topology>(p, true);
     neobft::Config cfg;
@@ -544,6 +527,23 @@ std::unique_ptr<Deployment> make_neobft(const NeoParams& p) {
 
 namespace {
 
+std::unique_ptr<Deployment> make_unreplicated(const CommonParams& p) {
+    auto t = std::make_unique<Topology>(p, false);
+    const NodeId sid = Topology::kServerId;
+    auto& server =
+        t->add_node(std::make_unique<baselines::UnreplicatedServer>(t->provision(sid)), sid);
+    server.set_auditor(&t->auditor());
+    t->add_metrics(sid, [&server](obs::Registry& reg, const std::string& key) {
+        server.register_rx_metrics(reg, key, &baselines::kind_name);
+    });
+    for (int i = 0; i < p.n_clients; ++i) {
+        NodeId cid = Topology::kClientBase + static_cast<NodeId>(i);
+        t->add_client(std::make_unique<baselines::UnreplicatedClient>(sid, t->provision(cid)),
+                      cid);
+    }
+    return t;
+}
+
 /// A leader-based baseline: `n` replicas `make_replica(cfg, crypto)` over
 /// one shared config (f from the 3f+1 convention on p.n_replicas), then
 /// p.n_clients clients `make_client(cfg, crypto)`.
@@ -577,8 +577,6 @@ auto quorum_client(const CommonParams& p) {
     };
 }
 
-}  // namespace
-
 std::unique_ptr<Deployment> make_pbft(const CommonParams& p) {
     return make_baseline<baselines::PbftConfig>(
         p, p.n_replicas,
@@ -588,16 +586,11 @@ std::unique_ptr<Deployment> make_pbft(const CommonParams& p) {
         quorum_client(p));
 }
 
-std::unique_ptr<Deployment> make_zyzzyva(const ZyzzyvaParams& p) {
+std::unique_ptr<Deployment> make_zyzzyva(const CommonParams& p) {
     return make_baseline<baselines::ZyzzyvaConfig>(
         p, p.n_replicas,
-        [&p](const baselines::ZyzzyvaConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
-            auto rep = std::make_unique<baselines::ZyzzyvaReplica>(cfg, std::move(c));
-            // Zyzzyva-F: the last replica ignores every message.
-            if (p.faulty_replica && rep->node_crypto().self() == cfg.replicas.back()) {
-                rep->set_silent(true);
-            }
-            return rep;
+        [](const baselines::ZyzzyvaConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
+            return std::make_unique<baselines::ZyzzyvaReplica>(cfg, std::move(c));
         },
         [](const baselines::ZyzzyvaConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
             return std::make_unique<baselines::ZyzzyvaClient>(cfg, std::move(c));
@@ -623,6 +616,67 @@ std::unique_ptr<Deployment> make_minbft(const CommonParams& p) {
             return std::make_unique<baselines::MinbftReplica>(cfg, std::move(c), usig_seed);
         },
         quorum_client(p));
+}
+
+struct SystemInfo {
+    const char* name;
+    const char* label;
+};
+
+/// Indexed by System.
+constexpr SystemInfo kSystemInfo[] = {
+    {"Unreplicated", "unreplicated"}, {"Neo-HM", "neo_hm"},     {"Neo-PK", "neo_pk"},
+    {"Neo-BN", "neo_bn"},             {"Zyzzyva", "zyzzyva"},   {"Zyzzyva-F", "zyzzyva_f"},
+    {"PBFT", "pbft"},                 {"HotStuff", "hotstuff"}, {"MinBFT", "minbft"},
+};
+static_assert(std::size(kSystemInfo) == std::size(kAllSystems));
+
+}  // namespace
+
+const char* system_name(System s) { return kSystemInfo[static_cast<std::size_t>(s)].name; }
+const char* system_label(System s) { return kSystemInfo[static_cast<std::size_t>(s)].label; }
+
+System system_from_label(const std::string& label) {
+    for (System s : kAllSystems) {
+        if (label == system_label(s)) return s;
+    }
+    NEO_ASSERT_MSG(false, "unknown system label");
+    std::abort();
+}
+
+std::optional<NeoVariant> neo_variant(System s) {
+    switch (s) {
+        case System::kNeoHm: return NeoVariant::kHm;
+        case System::kNeoPk: return NeoVariant::kPk;
+        case System::kNeoBn: return NeoVariant::kBn;
+        default: return std::nullopt;
+    }
+}
+
+std::unique_ptr<Deployment> make_system(System s, const CommonParams& p) {
+    if (std::optional<NeoVariant> v = neo_variant(s)) {
+        NeoParams np;
+        static_cast<CommonParams&>(np) = p;
+        np.variant = *v;
+        return make_neobft(np);
+    }
+    switch (s) {
+        case System::kUnreplicated: return make_unreplicated(p);
+        case System::kZyzzyva: return make_zyzzyva(p);
+        case System::kZyzzyvaF: {
+            // One faulty replica that ignores every message, client
+            // requests included, so no request completes on the fast path.
+            std::unique_ptr<Deployment> d = make_zyzzyva(p);
+            d->network().set_node_muted(d->replica_ids().back(), true);
+            return d;
+        }
+        case System::kPbft: return make_pbft(p);
+        case System::kHotStuff: return make_hotstuff(p);
+        case System::kMinBft: return make_minbft(p);
+        default: break;
+    }
+    NEO_ASSERT_MSG(false, "unknown system");
+    std::abort();
 }
 
 // ------------------------------------------------------------------ output

@@ -274,9 +274,7 @@ struct NeoParams : CommonParams {
     bool byz_sequencer = false;
 };
 
-std::unique_ptr<Deployment> make_unreplicated(const CommonParams& p);
 std::unique_ptr<Deployment> make_neobft(const NeoParams& p);
-std::unique_ptr<Deployment> make_pbft(const CommonParams& p);
 
 /// Multi-group sharded NeoBFT: `n_shards` independent sequencer groups, each
 /// a full NeoBFT replica group serving a contiguous slice of the key-hash
@@ -318,14 +316,40 @@ struct ShardTxnWorkload {
 };
 OpGen sharded_txn_ops(const ShardTxnWorkload& w, int n_clients);
 
-struct ZyzzyvaParams : CommonParams {
-    bool faulty_replica = false;  // Zyzzyva-F
+// ----------------------------------------------------------------- systems
+
+/// The systems of the paper's evaluation (§6: Fig 7, Fig 10, Table 1), in
+/// the order the figures list them.
+enum class System {
+    kUnreplicated,
+    kNeoHm,
+    kNeoPk,
+    kNeoBn,
+    kZyzzyva,
+    kZyzzyvaF,  // Zyzzyva with its last replica muted (Network::set_node_muted)
+    kPbft,
+    kHotStuff,
+    kMinBft,
 };
-std::unique_ptr<Deployment> make_zyzzyva(const ZyzzyvaParams& p);
-std::unique_ptr<Deployment> make_hotstuff(const CommonParams& p);
-/// MinBFT uses 2f+1 replicas; `n_replicas` is interpreted as f's 3f+1
-/// equivalent (n=4 -> f=1 -> 3 replicas) so sweeps stay uniform.
-std::unique_ptr<Deployment> make_minbft(const CommonParams& p);
+inline constexpr System kAllSystems[] = {
+    System::kUnreplicated, System::kNeoHm, System::kNeoPk,    System::kNeoBn,  System::kZyzzyva,
+    System::kZyzzyvaF,     System::kPbft,  System::kHotStuff, System::kMinBft,
+};
+
+/// The name figures print ("Neo-HM").
+const char* system_name(System s);
+/// The suite point-name prefix ("neo_hm").
+const char* system_label(System s);
+/// The system labelled `label`; aborts on an unknown label.
+System system_from_label(const std::string& label);
+/// The aom variant of the three Neo systems; nullopt for the rest.
+std::optional<NeoVariant> neo_variant(System s);
+
+/// Builds system `s` from the shared knobs. The Neo systems are make_neobft
+/// over a NeoParams copy of `p` with `variant` set. MinBFT uses 2f+1
+/// replicas: `n_replicas` is read as f's 3f+1 equivalent (n=4 -> f=1 -> 3
+/// replicas), so sweeps stay uniform.
+std::unique_ptr<Deployment> make_system(System s, const CommonParams& p);
 
 // ---------------------------------------------------------- deployment core
 

@@ -5,6 +5,17 @@
 
 namespace neo::bench {
 
+std::unique_ptr<Deployment> make_scenario_system(System s, const CommonParams& p) {
+    std::optional<NeoVariant> variant = neo_variant(s);
+    if (!variant) return make_system(s, p);
+    NeoParams np;
+    static_cast<CommonParams&>(np) = p;
+    np.variant = *variant;
+    np.byz_sequencer = true;
+    np.checkpoint_interval = 128;  // must be a multiple of sync_interval
+    return make_neobft(np);
+}
+
 std::string ScenarioOutcome::to_string() const {
     std::string s = scenario + ": " + (ok ? "ok" : "FAIL");
     s += " violations=[";

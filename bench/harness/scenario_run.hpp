@@ -40,6 +40,12 @@ struct ScenarioOutcome {
     std::string to_string() const;
 };
 
+/// System `s` built for the whole fault surface: the Neo systems get the
+/// Byzantine sequencer switch (sequencer faults) and checkpointing (the
+/// crash-recover lifecycle's checkpoint fetch); every other system is
+/// make_system(s, p).
+std::unique_ptr<Deployment> make_scenario_system(System s, const CommonParams& p);
+
 /// Applies `sc` to `d`, drives every client closed-loop for `duration` of
 /// virtual time, finalizes the auditor and evaluates the scenario's
 /// expectations. The deployment must be freshly built (the auditor and

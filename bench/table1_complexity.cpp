@@ -37,131 +37,20 @@ std::map<std::string, double> measure(Deployment& d, sim::Time warmup, sim::Time
     };
 }
 
-struct Protocol {
-    std::string name;   // table row
-    std::string label;  // point-name component
-    std::function<std::unique_ptr<Deployment>(int n, const RunCtx& ctx)> make;
-    bool trace_candidate = false;
-};
-
-std::vector<Protocol> protocols() {
-    constexpr int kClients = 16;
-    return {
-        {"NeoBFT-HM", "neobft_hm",
-         [](int n, const RunCtx& ctx) {
-             NeoParams p;
-             p.n_replicas = n;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             return make_neobft(p);
-         },
-         true},
-        {"NeoBFT-PK", "neobft_pk",
-         [](int n, const RunCtx& ctx) {
-             NeoParams p;
-             p.n_replicas = n;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.variant = NeoVariant::kPk;
-             // The O(1) bottleneck claim is group-size agnostic for aom-pk;
-             // aom-hm replicas receive ceil(N/4) subgroup packets (§6.3).
-             return make_neobft(p);
-         }},
-        {"PBFT", "pbft",
-         [](int n, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_replicas = n;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             return make_pbft(p);
-         }},
-        {"Zyzzyva", "zyzzyva",
-         [](int n, const RunCtx& ctx) {
-             ZyzzyvaParams p;
-             p.n_replicas = n;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             return make_zyzzyva(p);
-         }},
-        {"HotStuff", "hotstuff",
-         [](int n, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_replicas = n;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             return make_hotstuff(p);
-         }},
-        {"MinBFT", "minbft",
-         [](int n, const RunCtx& ctx) {
-             CommonParams p;
-             p.n_replicas = n;
-             p.n_clients = kClients;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             return make_minbft(p);
-         }},
-    };
+/// Table 1's point names spell the NeoBFT rows "neobft_*", after the paper's
+/// table, where the figures use "neo_*".
+std::string row_label(System s) {
+    std::string label = system_label(s);
+    return neo_variant(s) ? "neobft" + label.substr(3) : label;
 }
 
-struct DelayRow {
-    std::string name;
-    std::string label;
-    std::string paper_delays;
-    std::function<std::unique_ptr<Deployment>(const RunCtx& ctx)> make;
-};
-
-std::vector<DelayRow> delay_rows() {
-    return {
-        {"NeoBFT-HM", "neobft_hm", "2",
-         [](const RunCtx& ctx) {
-             NeoParams p;
-             p.n_clients = 1;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             return make_neobft(p);
-         }},
-        {"Zyzzyva", "zyzzyva", "3",
-         [](const RunCtx& ctx) {
-             ZyzzyvaParams p;
-             p.n_clients = 1;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.batch_delay = 10 * sim::kMicrosecond;
-             return make_zyzzyva(p);
-         }},
-        {"PBFT", "pbft", "5",
-         [](const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = 1;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.batch_delay = 10 * sim::kMicrosecond;
-             return make_pbft(p);
-         }},
-        {"MinBFT", "minbft", "4",
-         [](const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = 1;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.batch_delay = 10 * sim::kMicrosecond;
-             return make_minbft(p);
-         }},
-        {"HotStuff", "hotstuff", "4",
-         [](const RunCtx& ctx) {
-             CommonParams p;
-             p.n_clients = 1;
-             p.seed = ctx.seed();
-             p.sim_threads = ctx.sim_threads();
-             p.batch_delay = 10 * sim::kMicrosecond;
-             return make_hotstuff(p);
-         }},
-    };
+CommonParams params(int n, int clients, const RunCtx& ctx) {
+    CommonParams p;
+    p.n_replicas = n;
+    p.n_clients = clients;
+    p.seed = ctx.seed();
+    p.sim_threads = ctx.sim_threads();
+    return p;
 }
 
 }  // namespace
@@ -183,19 +72,22 @@ int main(int argc, char** argv) {
     const sim::Time meas = bm.quick() ? 30 * sim::kMillisecond : 100 * sim::kMillisecond;
     const std::vector<int> group_sizes = bm.quick() ? std::vector<int>{4} : std::vector<int>{4, 7, 10};
 
-    const std::vector<Protocol> protos = protocols();
+    // The O(1) bottleneck claim is group-size agnostic for aom-pk; aom-hm
+    // replicas receive ceil(N/4) subgroup packets (§6.3).
+    const std::vector<System> protos = {System::kNeoHm,   System::kNeoPk,    System::kPbft,
+                                        System::kZyzzyva, System::kHotStuff, System::kMinBft};
     std::vector<BenchPointSpec> points;
     for (int n : group_sizes) {
-        for (const Protocol& proto : protos) {
+        for (System sys : protos) {
             points.push_back({
-                "n" + std::to_string(n) + "." + proto.label,
+                "n" + std::to_string(n) + "." + row_label(sys),
                 {{"replicas", static_cast<double>(n)}},
-                [&proto, n, warm, meas](RunCtx& ctx) {
-                    auto d = proto.make(n, ctx);
+                [sys, n, warm, meas](RunCtx& ctx) {
+                    auto d = make_system(sys, params(n, 16, ctx));
                     auto obs = ctx.attach(*d);
                     return measure(*d, warm, meas);
                 },
-                proto.trace_candidate && n == 4,
+                sys == System::kNeoHm && n == 4,
             });
         }
     }
@@ -204,14 +96,22 @@ int main(int argc, char** argv) {
     // include constant crypto latencies; the paper's delay counts predict
     // the ORDERING (NeoBFT 2 < Zyzzyva 3 < MinBFT/HotStuff 4 < PBFT 5, with
     // per-protocol crypto shifting the constants).
-    const std::vector<DelayRow> delays = delay_rows();
+    struct DelayRow {
+        System sys;
+        const char* paper_delays;
+    };
+    const std::vector<DelayRow> delays = {{System::kNeoHm, "2"},   {System::kZyzzyva, "3"},
+                                          {System::kPbft, "5"},    {System::kMinBft, "4"},
+                                          {System::kHotStuff, "4"}};
     const sim::Time delay_meas = bm.quick() ? 5 * sim::kMillisecond : 20 * sim::kMillisecond;
     for (const DelayRow& row : delays) {
         points.push_back({
-            "delay." + row.label,
+            "delay." + row_label(row.sys),
             {},
-            [&row, delay_meas](RunCtx& ctx) {
-                auto d = row.make(ctx);
+            [sys = row.sys, delay_meas](RunCtx& ctx) {
+                CommonParams p = params(4, 1, ctx);
+                p.batch_delay = 10 * sim::kMicrosecond;  // baselines only; NeoBFT has no batcher
+                auto d = make_system(sys, p);
                 auto obs = ctx.attach(*d);
                 Measured m = run_closed_loop(*d, echo_ops(64), 0, delay_meas);
                 return std::map<std::string, double>{{"latency_us", m.p50_us}};
@@ -226,9 +126,9 @@ int main(int argc, char** argv) {
     for (int n : group_sizes) {
         std::printf("--- N = %d (f = %d) ---\n", n, (n - 1) / 3);
         TablePrinter table({"protocol", "bottleneck_msgs/req", "authenticators/req"});
-        for (const Protocol& proto : protos) {
+        for (System sys : protos) {
             const PointResult& r = results[i++];
-            table.row({proto.name, fmt_double(r.mean("bottleneck_msgs_per_req"), 2),
+            table.row({system_name(sys), fmt_double(r.mean("bottleneck_msgs_per_req"), 2),
                        fmt_double(r.mean("authenticators_per_req"), 2)});
         }
         std::printf("\n");
@@ -238,7 +138,7 @@ int main(int argc, char** argv) {
     TablePrinter table({"protocol", "paper_delays", "latency_us"});
     for (const DelayRow& row : delays) {
         const PointResult& r = results[i++];
-        table.row({row.name, row.paper_delays, fmt_double(r.mean("latency_us"), 1)});
+        table.row({system_name(row.sys), row.paper_delays, fmt_double(r.mean("latency_us"), 1)});
     }
     return 0;
 }

@@ -17,7 +17,7 @@ ZyzzyvaReplica::ZyzzyvaReplica(ZyzzyvaConfig cfg, std::unique_ptr<crypto::NodeCr
 }
 
 void ZyzzyvaReplica::handle(NodeId from, BytesView data) {
-    if (silent_ || data.empty()) return;
+    if (data.empty()) return;
     try {
         Reader r(data.subspan(1));
         switch (static_cast<Kind>(data[0])) {

@@ -45,10 +45,6 @@ class ZyzzyvaReplica : public sim::ProcessingNode {
     void set_equivocate(bool on) { probe_.set_equivocate(on); }
     std::uint64_t stable_checkpoint() const { return stable_checkpoint_; }
 
-    /// Zyzzyva-F: the replica stops responding (but the protocol's safety
-    /// must be unaffected).
-    void set_silent(bool silent) { silent_ = silent; }
-
   protected:
     void handle(NodeId from, BytesView data) override;
 
@@ -72,7 +68,6 @@ class ZyzzyvaReplica : public sim::ProcessingNode {
     Digest32 history_{};               // hash chain over ordered batches
     Batcher batcher_;
     bool batch_timer_armed_ = false;
-    bool silent_ = false;
 
     std::map<std::uint64_t, std::pair<Digest32, std::vector<Request>>> pending_;  // ooo batches
     std::map<NodeId, std::pair<std::uint64_t, sim::Packet>> clients_;

@@ -58,7 +58,6 @@ void Replica::bootstrap(aom::GroupConfig group, NodeId sequencer) {
 }
 
 void Replica::handle(NodeId from, BytesView data) {
-    if (silent_) return;
     if (aom::is_aom_packet(data)) {
         receiver_->on_packet(from, data);
         return;

@@ -68,9 +68,6 @@ class Replica : public sim::ProcessingNode, public aom::ReceiverHost {
     aom::AomReceiver& receiver() { return *receiver_; }
     app::StateMachine& app() { return *app_; }
 
-    /// Fault injection for tests: a silent replica handles nothing.
-    void set_silent(bool silent) { silent_ = silent; }
-
     /// Byzantine fault injection: an equivocating replica reports corrupted
     /// execution digests to the auditor and appends a poison byte to every
     /// client reply result. Honest 2f+1 quorums still commit (liveness
@@ -240,7 +237,6 @@ class Replica : public sim::ProcessingNode, public aom::ReceiverHost {
     ViewId view_{1, 0};
     Log log_;
     Stats stats_;
-    bool silent_ = false;
     obs::Auditor* auditor_ = nullptr;
     /// True while re-executing slots already reported once (rollback, view
     /// merge, state transfer): auditor records carry replay=true so the

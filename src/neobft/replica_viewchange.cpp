@@ -21,7 +21,6 @@ void Replica::arm_progress_timer() {
 }
 
 void Replica::on_progress_timeout() {
-    if (silent_) return;
     sim::Time now = sim().now();
 
     if (status_ == Status::kNormal) {

@@ -15,6 +15,7 @@ const char* fault_kind_name(FaultKind k) {
         case FaultKind::kHonest: return "honest";
         case FaultKind::kSilence: return "silence";
         case FaultKind::kUnsilence: return "unsilence";
+        case FaultKind::kMute: return "mute";
         case FaultKind::kPartition: return "partition";
         case FaultKind::kHeal: return "heal";
         case FaultKind::kGrayLink: return "gray_link";
@@ -76,6 +77,9 @@ void run_event(const FaultEvent& ev, Adapter& ad, const std::vector<NodeId>& rep
                     if (r != t) net.unblock(t, r);
                 }
             }
+            break;
+        case FaultKind::kMute:
+            for (NodeId t : targets) net.set_node_muted(t, true);
             break;
         case FaultKind::kPartition:
             for (NodeId a : targets) {

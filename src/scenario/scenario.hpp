@@ -11,7 +11,8 @@
 // Three fault families (docs/SCENARIOS.md):
 //  - Byzantine processes: equivocating replicas (divergent audited commit
 //    digests + poisoned client replies), selectively-silent replicas
-//    (directional network blocks toward other replicas), and a malicious
+//    (directional network blocks toward other replicas), muted replicas
+//    (every message ignored, client requests included), and a malicious
 //    sequencer (scenario::ByzSequencer — drops/duplicates/corrupts/
 //    signature-strips sequenced packets).
 //  - Network pathologies: symmetric partitions, asymmetric gray links
@@ -48,6 +49,7 @@ enum class FaultKind : std::uint8_t {
     kHonest,         // stop equivocating
     kSilence,        // targets stop sending to other REPLICAS (clients still served)
     kUnsilence,
+    kMute,           // targets receive (and pay for) every message but handle nothing
     // Network pathologies.
     kPartition,      // targets <-> rest-of-replicas cut, both directions
     kHeal,           // remove every replica<->replica block

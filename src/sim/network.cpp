@@ -65,6 +65,12 @@ void Network::set_node_down(NodeId id, bool down) {
     }
 }
 
+void Network::set_node_muted(NodeId id, bool muted) {
+    auto it = nodes_.find(id);
+    NEO_ASSERT_MSG(it != nodes_.end(), "set_node_muted: unknown node");
+    it->second->muted_ = muted;
+}
+
 std::uint64_t Network::delivered_to(NodeId id) const {
     std::uint64_t total = 0;
     for (const auto& s : shards_) {

@@ -103,6 +103,10 @@ class Network {
     /// A down node neither sends nor receives (crash model).
     void set_node_down(NodeId id, bool down);
     bool is_down(NodeId id) const { return down_.contains(id); }
+    /// A muted node still receives and pays for every arrival, but its
+    /// protocol logic does nothing: ProcessingNode skips the handler and
+    /// timer callbacks. Call from setup code or a global event.
+    void set_node_muted(NodeId id, bool muted);
 
     void set_tamper(TamperFn fn) { tamper_ = std::move(fn); }
 
@@ -241,10 +245,14 @@ class Node {
     virtual Time cpu_busy_time() const { return 0; }
     virtual Time cpu_queue_wait() const { return 0; }
 
+    /// Set through Network::set_node_muted.
+    bool muted() const { return muted_; }
+
   private:
     friend class Network;
     Network* net_ = nullptr;
     NodeId id_ = kInvalidNode;
+    bool muted_ = false;
 };
 
 }  // namespace neo::sim

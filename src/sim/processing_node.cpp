@@ -48,8 +48,10 @@ void ProcessingNode::drain_one() {
     queue_.pop_front();
     drain_scheduled_ = false;
 
+    // A muted node (Network::set_node_muted) drops its timer callbacks and
+    // pays the receive cost of every arrival without handling it.
     if (item.task) {
-        if (cancelled_timers_.erase(item.timer_id) == 0) {
+        if (cancelled_timers_.erase(item.timer_id) == 0 && !muted()) {
             total_queue_wait_ += sim().now() - item.enqueued_at;
             run_task(cfg_.timer_overhead_ns, item.task, item.label);
         }
@@ -59,7 +61,9 @@ void ProcessingNode::drain_one() {
         Time recv_cost = cfg_.recv_overhead_ns +
                          static_cast<Time>(cfg_.io_ns_per_byte *
                                            static_cast<double>(item.packet.size()));
-        run_task(recv_cost, [&] { handle(item.from, item.packet.view()); }, "handle");
+        run_task(recv_cost, [&] {
+            if (!muted()) handle(item.from, item.packet.view());
+        }, "handle");
     }
 
     maybe_schedule_drain();

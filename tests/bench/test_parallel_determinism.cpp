@@ -47,7 +47,7 @@ std::vector<BenchPointSpec> sweep_points() {
             CommonParams p;
             p.n_clients = 4;
             p.seed = ctx.seed();
-            auto d = make_pbft(p);
+            auto d = make_system(System::kPbft, p);
             auto obs = ctx.attach(*d);
             Measured m = run_closed_loop(*d, echo_ops(64), 2 * sim::kMillisecond,
                                          8 * sim::kMillisecond);

@@ -21,8 +21,11 @@
 namespace neo::bench {
 namespace {
 
+constexpr System kProtos[] = {System::kNeoHm,   System::kNeoPk,    System::kNeoBn, System::kPbft,
+                              System::kZyzzyva, System::kHotStuff, System::kMinBft};
+
 struct Scenario {
-    int proto;  // 0..2 neobft hm/pk/bn, 3 pbft, 4 zyzzyva, 5 hotstuff, 6 minbft
+    System proto;
     int n_replicas;
     int n_clients;
     double drop_rate;
@@ -37,48 +40,33 @@ struct Scenario {
 Scenario make_scenario(int index) {
     StreamRng rng(0x57e55, static_cast<std::uint64_t>(index));
     Scenario sc;
-    sc.proto = static_cast<int>(rng.uniform(7));
-    sc.n_replicas = sc.proto < 3 ? static_cast<int>(4 + 3 * rng.uniform(3))  // 4, 7, 10
+    sc.proto = kProtos[rng.uniform(7)];
+    const bool neo = neo_variant(sc.proto).has_value();
+    sc.n_replicas = neo ? static_cast<int>(4 + 3 * rng.uniform(3))  // 4, 7, 10
                                  : static_cast<int>(4 + 3 * rng.uniform(2));
     sc.n_clients = static_cast<int>(2 + rng.uniform(3));
     const double rates[] = {0.0, 0.001, 0.01};
     sc.drop_rate = rates[rng.uniform(3)];
-    sc.tamper = sc.proto == 2 && rng.chance(0.5);
-    sc.failover = sc.proto < 3 && rng.chance(0.25);
+    sc.tamper = sc.proto == System::kNeoBn && rng.chance(0.5);
+    sc.failover = neo && rng.chance(0.25);
     sc.seed = 7'000 + static_cast<std::uint64_t>(index);
     return sc;
 }
 
 std::unique_ptr<Deployment> build(const Scenario& sc, unsigned threads) {
-    if (sc.proto < 3) {
-        NeoParams p;
-        p.n_replicas = sc.n_replicas;
-        p.n_clients = sc.n_clients;
-        p.seed = sc.seed;
-        p.sim_threads = threads;
-        p.drop_rate = sc.drop_rate;
-        p.variant = sc.proto == 0   ? NeoVariant::kHm
-                    : sc.proto == 1 ? NeoVariant::kPk
-                                    : NeoVariant::kBn;
-        if (sc.drop_rate > 0) p.receiver.gap_timeout = 200 * sim::kMicrosecond;
-        return make_neobft(p);
-    }
     CommonParams base;
     base.n_replicas = sc.n_replicas;
     base.n_clients = sc.n_clients;
     base.seed = sc.seed;
     base.sim_threads = threads;
     base.drop_rate = sc.drop_rate;
-    switch (sc.proto) {
-        case 3: return make_pbft(base);
-        case 4: {
-            ZyzzyvaParams p;
-            static_cast<CommonParams&>(p) = base;
-            return make_zyzzyva(p);
-        }
-        case 5: return make_hotstuff(base);
-        default: return make_minbft(base);
-    }
+    std::optional<NeoVariant> variant = neo_variant(sc.proto);
+    if (!variant || sc.drop_rate == 0) return make_system(sc.proto, base);
+    NeoParams p;
+    static_cast<CommonParams&>(p) = base;
+    p.variant = *variant;
+    p.receiver.gap_timeout = 200 * sim::kMicrosecond;
+    return make_neobft(p);
 }
 
 struct Outcome {
@@ -134,9 +122,9 @@ TEST_P(PdesStress, TraceAndMetricsIdenticalAcrossThreadCounts) {
     for (unsigned threads : {2u, 8u}) {
         Outcome parallel = run_scenario(sc, threads);
         EXPECT_EQ(serial.trace, parallel.trace)
-            << "proto=" << sc.proto << " threads=" << threads;
+            << "proto=" << system_label(sc.proto) << " threads=" << threads;
         EXPECT_EQ(serial.metrics, parallel.metrics)
-            << "proto=" << sc.proto << " threads=" << threads;
+            << "proto=" << system_label(sc.proto) << " threads=" << threads;
         EXPECT_EQ(serial.completed, parallel.completed);
     }
 }

@@ -152,7 +152,7 @@ TEST(Placement, BaselineFactoriesApplyThePolicy) {
         p.seed = kSeed;
         p.sim_threads = 4;
         p.placement = std::move(placement);
-        return make_pbft(p);
+        return make_system(System::kPbft, p);
     };
     auto scrambled = build(scrambled_flat);
     ASSERT_EQ(scrambled->replica_ids().size(), 4u);

@@ -32,12 +32,7 @@ std::unique_ptr<Deployment> build(const std::string& proto, unsigned sim_threads
     base.n_clients = 6;
     base.seed = 97;
     base.sim_threads = sim_threads;
-    if (proto == "pbft") return make_pbft(base);
-    if (proto == "hotstuff") return make_hotstuff(base);
-    NeoParams p;
-    static_cast<CommonParams&>(p) = base;
-    p.variant = proto == "neo_pk" ? NeoVariant::kPk : NeoVariant::kHm;
-    return make_neobft(p);
+    return make_system(system_from_label(proto), base);
 }
 
 Stream run(const std::string& proto, unsigned sim_threads) {

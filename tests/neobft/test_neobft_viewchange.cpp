@@ -98,16 +98,16 @@ TEST(NeoViewChange, EpochCertificatesRecorded) {
 }
 
 TEST(NeoViewChange, LeaderFailureDuringGapAgreement) {
-    // The leader goes silent while a gap needs resolving; followers must
+    // The leader is muted while a gap needs resolving; followers must
     // replace it (leader-num + 1, same epoch) and then resolve the gap.
     DeploymentOptions opts = fast_failover_opts();
     NeoDeployment d(opts);
     auto results = d.run_workload(1, 2);
     ASSERT_EQ(results[0].size(), 2u);
 
-    // Silence the leader (replica 1, view <1,0>) and drop switch traffic to
+    // Mute the leader (replica 1, view <1,0>) and drop switch traffic to
     // replica 2 so it needs a QUERY that the dead leader never answers.
-    d.replicas[0]->set_silent(true);
+    d.net.set_node_muted(d.replicas[0]->id(), true);
     bool active = true;
     d.net.set_tamper([&](NodeId from, NodeId to, Bytes&) {
         if (active && from >= NeoDeployment::kSwitchBase && to == 2) {

@@ -453,25 +453,12 @@ std::unique_ptr<bench::Deployment> build(const std::string& proto) {
     base.n_replicas = 4;
     base.n_clients = 6;
     base.seed = 31;
-    if (proto == "pbft") return bench::make_pbft(base);
-    if (proto == "hotstuff") return bench::make_hotstuff(base);
-    if (proto == "minbft") return bench::make_minbft(base);
-    if (proto == "zyzzyva") {
-        bench::ZyzzyvaParams p;
-        static_cast<bench::CommonParams&>(p) = base;
-        return bench::make_zyzzyva(p);
-    }
-    if (proto == "sharded") {
-        bench::ShardParams p;
-        static_cast<bench::CommonParams&>(p) = base;
-        p.n_shards = 2;
-        p.dataset.record_count = 1'000;
-        return bench::make_sharded_neobft(p);
-    }
-    bench::NeoParams p;
+    if (proto != "sharded") return bench::make_system(bench::system_from_label(proto), base);
+    bench::ShardParams p;
     static_cast<bench::CommonParams&>(p) = base;
-    p.variant = proto == "neo_pk" ? bench::NeoVariant::kPk : bench::NeoVariant::kHm;
-    return bench::make_neobft(p);
+    p.n_shards = 2;
+    p.dataset.record_count = 1'000;
+    return bench::make_sharded_neobft(p);
 }
 
 class RecordedStream : public ::testing::TestWithParam<const char*> {};

@@ -25,31 +25,13 @@ namespace {
 constexpr std::uint64_t kSeed = 777;
 constexpr sim::Time kHorizon = 20 * sim::kMillisecond;
 
-std::unique_ptr<Deployment> make_proto(const std::string& proto, unsigned sim_threads = 1) {
-    if (proto == "neo_hm" || proto == "neo_pk") {
-        NeoParams p;
-        p.variant = proto == "neo_pk" ? NeoVariant::kPk : NeoVariant::kHm;
-        p.n_clients = 4;
-        p.seed = kSeed;
-        p.sim_threads = sim_threads;
-        p.byz_sequencer = true;
-        p.checkpoint_interval = 128;
-        return make_neobft(p);
-    }
-    if (proto == "zyzzyva") {
-        ZyzzyvaParams p;
-        p.n_clients = 4;
-        p.seed = kSeed;
-        p.sim_threads = sim_threads;
-        return make_zyzzyva(p);
-    }
+std::unique_ptr<Deployment> make_proto(const std::string& proto, unsigned sim_threads = 1,
+                                       std::uint64_t seed = kSeed) {
     CommonParams p;
     p.n_clients = 4;
-    p.seed = kSeed;
+    p.seed = seed;
     p.sim_threads = sim_threads;
-    if (proto == "pbft") return make_pbft(p);
-    if (proto == "hotstuff") return make_hotstuff(p);
-    return make_minbft(p);
+    return make_scenario_system(system_from_label(proto), p);
 }
 
 scenario::Scenario scenario_by_name(const std::string& name,
@@ -119,6 +101,52 @@ TEST(SeqStall, FailsOverOnceAndEveryClientCommitsAfterTheStall) {
     }
 }
 
+scenario::Scenario mute_at_start(NodeId victim) {
+    scenario::Scenario sc;
+    sc.name = "mute";
+    sc.events.push_back({0, scenario::FaultKind::kMute, {victim}, 0, 0.0, 0});
+    return sc;
+}
+
+TEST(MuteFault, ZyzzyvaFIsZyzzyvaWithItsLastReplicaMuted) {
+    // One fault surface: kMute on the last Zyzzyva replica at t=0 measures
+    // exactly what the Zyzzyva-F system row does.
+    CommonParams p;
+    p.n_clients = 4;
+    p.seed = kSeed;
+    auto measure = [](Deployment& d) {
+        return measured_metrics(
+            run_closed_loop(d, echo_ops(64), sim::kMillisecond, 10 * sim::kMillisecond));
+    };
+    auto row = make_system(System::kZyzzyvaF, p);
+    auto muted = make_system(System::kZyzzyva, p);
+    scenario::apply(mute_at_start(muted->replica_ids().back()), *muted);
+    auto honest = make_system(System::kZyzzyva, p);
+
+    const auto expected = measure(*row);
+    EXPECT_EQ(measure(*muted), expected);
+    // The mute is what the row measures: without it the numbers differ.
+    EXPECT_NE(measure(*honest), expected);
+}
+
+TEST(MuteFault, OneMutedReplicaKeepsEveryClientCommitting) {
+    // Partitioned, so the mute flag set by the global event is read from
+    // partition workers.
+    for (const std::string& proto : {"pbft", "hotstuff", "minbft", "neo_hm"}) {
+        auto d = make_proto(proto, 4);
+        const NodeId victim = d->replica_ids().back();
+        scenario::Scenario sc = mute_at_start(victim);
+        sc.min_commits_per_client = 10;
+        ScenarioOutcome out = run_scenario(*d, sc, echo_ops(64), kHorizon);
+        EXPECT_TRUE(out.ok) << proto << " " << out.to_string();
+        // Muted from t=0, the victim never ran a handler, so it never
+        // touched its crypto.
+        const crypto::CostMeter* meter = d->replica_meter(victim);
+        ASSERT_NE(meter, nullptr) << proto;
+        EXPECT_EQ(meter->signs + meter->verifies + meter->macs, 0u) << proto;
+    }
+}
+
 TEST(ScenarioDeterminism, OutcomeByteIdenticalAcrossThreadCounts) {
     // The engine schedules every fault as a global event, so a scenario
     // run — faults, recovery, auditor stream and all — must be a pure
@@ -147,13 +175,7 @@ TEST(ScenarioDeterminism, FuzzCompositionsStableAcrossThreadCounts) {
     for (std::uint64_t seed : {3ull, 11ull}) {
         std::string ref;
         for (unsigned threads : {1u, 8u}) {
-            NeoParams p;
-            p.n_clients = 4;
-            p.seed = seed;
-            p.sim_threads = threads;
-            p.byz_sequencer = true;
-            p.checkpoint_interval = 128;
-            auto d = make_neobft(p);
+            auto d = make_proto("neo_hm", threads, seed);
             scenario::Scenario sc = scenario::fuzz(seed, d->replica_ids(), kHorizon);
             ScenarioOutcome out = run_scenario(*d, sc, echo_ops(64), kHorizon);
             EXPECT_TRUE(out.ok) << out.to_string();
