@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
                 [sys, batch, warmup, measure](RunCtx& ctx) {
                     CommonParams p;
                     p.n_clients = 256;
-                    p.seed = ctx.seed();
-                    p.sim_threads = ctx.sim_threads();
+                    ctx.apply(p);
                     p.batch_max = batch;
                     p.batch_delay = 2 * sim::kMillisecond;  // large batches need patience
                     auto d = make_system(sys, p);

@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
             [flush, warmup, measure](RunCtx& ctx) {
                 NeoParams p;
                 p.n_clients = 32;
-                p.seed = ctx.seed();
-                p.sim_threads = ctx.sim_threads();
+                ctx.apply(p);
                 p.variant = NeoVariant::kBn;
                 p.receiver.confirm_flush_interval = flush;
                 p.receiver.gap_timeout = 5 * sim::kMillisecond;  // stay out of gap agreement

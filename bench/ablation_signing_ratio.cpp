@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
                 cfg.precompute.table_capacity = 2'048;
                 cfg.precompute.low_water_mark = 256;
                 auto bench = std::make_unique<AomBench>(aom::AuthVariant::kPublicKey, 4,
-                                                        ctx.seed(), cfg, ctx.sim_threads());
+                                                        ctx.seed(), cfg, ctx.sim_threads(),
+                                                        ctx.crypto_mode());
                 std::string label = ctx.label();
                 auto obs = ctx.attach(bench->simulator(),
                                       [&bench, label](obs::Registry& reg, obs::TraceSink* tr) {

@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
             [interval, warmup, measure](RunCtx& ctx) {
                 NeoParams p;
                 p.n_clients = 64;
-                p.seed = ctx.seed();
-                p.sim_threads = ctx.sim_threads();
+                ctx.apply(p);
                 p.sync_interval = interval;
                 auto d = make_neobft(p);
                 auto obs = ctx.attach(*d);

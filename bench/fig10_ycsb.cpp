@@ -84,8 +84,7 @@ int main(int argc, char** argv) {
                     std::make_shared<app::YcsbWorkload>(ycsb_config(bm.quick()), 17);
                 CommonParams p;
                 p.n_clients = kClients;
-                p.seed = ctx.seed();
-                p.sim_threads = ctx.sim_threads();
+                ctx.apply(p);
                 if (sys == System::kHotStuff) p.batch_max = 32;
                 p.app_factory = neo_app_factory(workload);
                 p.baseline_app_factory = baseline_app_factory(workload);

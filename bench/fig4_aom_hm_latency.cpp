@@ -18,7 +18,7 @@ BenchPointSpec load_point(double load, bool quick) {
         {{"load_pct", load * 100}},
         [load, quick](RunCtx& ctx) {
             AomBench bench(aom::AuthVariant::kHmacVector, kReceivers, ctx.seed(), {},
-                           ctx.sim_threads());
+                           ctx.sim_threads(), ctx.crypto_mode());
             sim::Time service = bench.service_ns(aom::AuthVariant::kHmacVector, kReceivers);
             // Offered load as a fraction of the pipeline's saturation rate.
             auto gap = static_cast<sim::Time>(static_cast<double>(service) / load);
@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
 
     if (!bm.quick()) {
         std::printf("\nCDF at 50%% load (value_us, cumulative):\n");
-        AomBench bench(aom::AuthVariant::kHmacVector, kReceivers, bm.base_seed());
+        AomBench bench(aom::AuthVariant::kHmacVector, kReceivers, bm.base_seed(), {}, 1,
+                       bm.opt().crypto_mode());
         sim::Time service = bench.service_ns(aom::AuthVariant::kHmacVector, kReceivers);
         AomBenchResult r = bench.run(200'000, service * 2);
         for (auto [v, f] : r.latency->cdf(11)) {

@@ -18,7 +18,7 @@ BenchPointSpec load_point(double load, bool quick) {
         {{"load_pct", load * 100}},
         [load, quick](RunCtx& ctx) {
             AomBench bench(aom::AuthVariant::kPublicKey, kReceivers, ctx.seed(), {},
-                           ctx.sim_threads());
+                           ctx.sim_threads(), ctx.crypto_mode());
             // The signer (1/kPkSignServiceNs pps) is the bottleneck resource.
             auto gap = static_cast<sim::Time>(static_cast<double>(sim::kPkSignServiceNs) / load);
             auto obs = ctx.attach(bench.simulator(),
@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
 
     if (!bm.quick()) {
         std::printf("\nCDF at 50%% load (value_us, cumulative):\n");
-        AomBench bench(aom::AuthVariant::kPublicKey, kReceivers, bm.base_seed());
+        AomBench bench(aom::AuthVariant::kPublicKey, kReceivers, bm.base_seed(), {}, 1,
+                       bm.opt().crypto_mode());
         AomBenchResult r = bench.run(200'000, sim::kPkSignServiceNs * 2);
         for (auto [v, f] : r.latency->cdf(11)) {
             std::printf("  %8.2f  %5.2f\n", v, f);

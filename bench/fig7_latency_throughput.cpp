@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
                 [sys, clients, warmup, measure](RunCtx& ctx) {
                     CommonParams p;
                     p.n_clients = clients;
-                    p.seed = ctx.seed();
-                    p.sim_threads = ctx.sim_threads();
-                    p.crypto_mode = ctx.crypto_mode();
+                    ctx.apply(p);
                     // Modest batching: the paper notes aggressive batching
                     // lifts HotStuff's throughput but pushes latency >10ms.
                     if (sys == System::kHotStuff) p.batch_max = 8;

@@ -23,9 +23,9 @@ BenchPointSpec scale_point(NeoVariant variant, int replicas) {
             p.n_clients = replicas > 50 ? 32 : 48;  // enough closed-loop clients to saturate
             p.variant = variant;
             p.software_sequencer = true;
+            ctx.apply(p);
             // Decorrelate the sweep points (as the fixed-seed version did).
-            p.seed = ctx.seed() + static_cast<std::uint64_t>(replicas);
-            p.sim_threads = ctx.sim_threads();
+            p.seed += static_cast<std::uint64_t>(replicas);
             auto d = make_neobft(p);
             auto obs = ctx.attach(*d);
             Measured m = run_closed_loop(

@@ -27,8 +27,8 @@ BenchPointSpec drop_point(NeoVariant variant, double drop_rate, bool quick) {
             // timeout would stall the in-order pipeline for the whole wait
             // (drop-notifications gate delivery of everything behind them).
             p.receiver.gap_timeout = 100 * sim::kMicrosecond;
-            p.seed = ctx.seed() + static_cast<std::uint64_t>(drop_rate * 1e7);
-            p.sim_threads = ctx.sim_threads();
+            ctx.apply(p);
+            p.seed += static_cast<std::uint64_t>(drop_rate * 1e7);
             auto d = make_neobft(p);
             auto obs = ctx.attach(*d);
             Measured m = run_closed_loop(*d, echo_ops(64),

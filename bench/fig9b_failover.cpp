@@ -30,8 +30,7 @@ std::map<std::string, double> run_failover(RunCtx& ctx) {
     NeoParams p;
     p.n_clients = 32;
     p.variant = NeoVariant::kHm;
-    p.seed = ctx.seed();
-    p.sim_threads = ctx.sim_threads();
+    ctx.apply(p);
     auto d = make_neobft(p);
     auto obs = ctx.attach(*d);
     sim::Simulator& sim = d->simulator();

@@ -578,29 +578,29 @@ auto quorum_client(const CommonParams& p) {
 }
 
 std::unique_ptr<Deployment> make_pbft(const CommonParams& p) {
-    return make_baseline<baselines::PbftConfig>(
+    return make_baseline<baselines::BaseConfig>(
         p, p.n_replicas,
-        [](const baselines::PbftConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
+        [](const baselines::BaseConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
             return std::make_unique<baselines::PbftReplica>(cfg, std::move(c));
         },
         quorum_client(p));
 }
 
 std::unique_ptr<Deployment> make_zyzzyva(const CommonParams& p) {
-    return make_baseline<baselines::ZyzzyvaConfig>(
+    return make_baseline<baselines::BaseConfig>(
         p, p.n_replicas,
-        [](const baselines::ZyzzyvaConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
+        [](const baselines::BaseConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
             return std::make_unique<baselines::ZyzzyvaReplica>(cfg, std::move(c));
         },
-        [](const baselines::ZyzzyvaConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
+        [](const baselines::BaseConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
             return std::make_unique<baselines::ZyzzyvaClient>(cfg, std::move(c));
         });
 }
 
 std::unique_ptr<Deployment> make_hotstuff(const CommonParams& p) {
-    return make_baseline<baselines::HotStuffConfig>(
+    return make_baseline<baselines::BaseConfig>(
         p, p.n_replicas,
-        [](const baselines::HotStuffConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
+        [](const baselines::BaseConfig& cfg, std::unique_ptr<crypto::NodeCrypto> c) {
             return std::make_unique<baselines::HotStuffReplica>(cfg, std::move(c));
         },
         quorum_client(p));

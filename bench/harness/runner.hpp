@@ -45,6 +45,10 @@ struct BenchOptions {
     /// crypto wall-clock gate (docs/BENCHMARKING.md).
     bool real_crypto = false;
 
+    crypto::CryptoMode crypto_mode() const {
+        return real_crypto ? crypto::CryptoMode::kReal : crypto::CryptoMode::kModeled;
+    }
+
     /// Parses the uniform flags from argv (unrecognised flags are left for
     /// other consumers, e.g. --trace/--metrics). `--jobs 0` resolves to
     /// hardware concurrency here.
@@ -63,6 +67,13 @@ class RunCtx {
     /// build real-crypto deployments.
     crypto::CryptoMode crypto_mode() const {
         return real_crypto_ ? crypto::CryptoMode::kReal : crypto::CryptoMode::kModeled;
+    }
+    /// Forwards the run's seed, --sim-threads and --real-crypto into `p`.
+    /// Mains that decorrelate sweep points offset p.seed afterwards.
+    void apply(CommonParams& p) const {
+        p.seed = seed_;
+        p.sim_threads = sim_threads_;
+        p.crypto_mode = crypto_mode();
     }
     /// Label for metrics namespacing: "<point>.s<seed>" — the seed is part
     /// of the label so multi-seed metric dumps never collide.

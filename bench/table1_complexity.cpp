@@ -48,8 +48,7 @@ CommonParams params(int n, int clients, const RunCtx& ctx) {
     CommonParams p;
     p.n_replicas = n;
     p.n_clients = clients;
-    p.seed = ctx.seed();
-    p.sim_threads = ctx.sim_threads();
+    ctx.apply(p);
     return p;
 }
 

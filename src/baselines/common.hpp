@@ -7,7 +7,7 @@
 // in their original work", MAC-authenticated client requests/replies, and
 // signed replica-to-replica protocol messages.
 //
-// Scope note (see DESIGN.md §6): baseline view-change protocols are not
+// Scope note (see DESIGN.md §7): baseline view-change protocols are not
 // exercised by any figure in the paper (only NeoBFT's leader/sequencer is
 // ever killed), so the baselines implement their normal-case protocols
 // faithfully (message pattern, quorums, authenticator counts) plus
@@ -70,6 +70,10 @@ struct BaseConfig {
     /// itself tracks load (see sim::AdaptiveBatchController).
     std::size_t batch_max = 16;
     sim::Time batch_delay = 100 * sim::kMicrosecond;
+    /// Checkpoint cadence (sequence numbers): crossing a boundary advances
+    /// the stable floor, GCs protocol state below it and rejects stale
+    /// protocol messages. 0 disables.
+    std::uint64_t checkpoint_interval = 128;
 
     sim::AdaptiveBatchPolicy batch_policy() const {
         return sim::AdaptiveBatchPolicy{1, batch_max, batch_delay};
@@ -214,6 +218,91 @@ class ExecProbe {
     obs::Auditor* auditor_ = nullptr;
     std::uint64_t next_slot_ = 0;
     bool equivocate_ = false;
+};
+
+// ---------------- Leader replica core ----------------
+
+/// Counters every leader-based baseline keeps; a protocol's Stats extends
+/// them with its own.
+struct LeaderStats {
+    std::uint64_t requests_executed = 0;
+    std::uint64_t checkpoints = 0;
+};
+
+/// The framework the paper runs every leader-based baseline in (§6), as one
+/// replica core: client intake (dedup with resend of the cached reply, the
+/// leader's MAC check, adaptive batching), the seal prelude, the
+/// per-request execute-and-reply step, the checkpoint floor, the shared
+/// metrics and the deployment hooks. A protocol supplies its phases:
+/// order_batch() for a sealed batch at the leader, on_message() for its
+/// replica-to-replica kinds, and take_checkpoint() for its floor.
+class LeaderReplica : public sim::ProcessingNode {
+  public:
+    /// Pluggable deterministic application (defaults to echo).
+    using AppFn = std::function<Bytes(BytesView)>;
+    void set_app(AppFn app) { app_ = std::move(app); }
+    crypto::NodeCrypto& node_crypto() { return *crypto_; }
+    /// Report executed requests to the deployment's safety Auditor.
+    void set_auditor(obs::Auditor* a) { probe_.set_auditor(a); }
+    /// Byzantine strategy hook: audited execution digests diverge from the
+    /// honest replicas' (the auditor must flag divergent_commit).
+    void set_equivocate(bool on) { probe_.set_equivocate(on); }
+    std::uint64_t stable_checkpoint() const { return stable_checkpoint_; }
+    /// Highest contiguously executed sequence number.
+    std::uint64_t executed_seq() const { return last_executed_; }
+
+    /// Publishes the shared counters, the protocol's (collect_metrics) and
+    /// per-kind rx counts under `prefix` at every registry dump.
+    void register_metrics(obs::Registry& reg, const std::string& prefix);
+
+  protected:
+    /// `stats` is the protocol's counter block (a member of the derived
+    /// replica); the core only bumps its shared fields.
+    LeaderReplica(const BaseConfig& cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
+                  LeaderStats& stats);
+
+    void handle(NodeId from, BytesView data) final;
+    /// A protocol message of any kind but kRequest; `r` is past the kind.
+    virtual void on_message(Kind kind, NodeId from, Reader& r) = 0;
+    /// Leader: orders a sealed batch as sequence number `seq`.
+    virtual void order_batch(std::uint64_t seq, std::vector<Request> batch) = 0;
+    /// Execution crossed checkpoint boundary `seq` above the stable floor.
+    virtual void take_checkpoint(std::uint64_t seq) = 0;
+    /// Protocol-specific metric values, published beside the shared ones.
+    virtual void collect_metrics(obs::Registry& reg, const std::string& prefix) const = 0;
+    /// The client's answer for an executed request: a MAC-authenticated
+    /// Reply unless the protocol overrides it.
+    virtual sim::Packet make_reply(const Request& req, Bytes result);
+
+    bool is_primary() const { return cfg_.primary(view_) == id(); }
+    /// Executes and answers every not-yet-answered request of `batch`.
+    void execute_requests(const std::vector<Request>& batch);
+    /// Executes the batch at sequence number executed_seq() + 1 and traces
+    /// `phase` at it.
+    void commit_next(const std::vector<Request>& batch, const char* phase);
+    /// Calls take_checkpoint() when execution crossed a boundary above the
+    /// stable floor.
+    void maybe_checkpoint();
+    /// Raises the stable floor to `seq`.
+    void advance_floor(std::uint64_t seq);
+
+    BaseConfig cfg_;
+    std::unique_ptr<crypto::NodeCrypto> crypto_;
+    std::uint64_t view_ = 0;
+    std::uint64_t last_executed_ = 0;
+
+  private:
+    void on_request(NodeId from, Reader& r);
+    void seal_batch();
+
+    LeaderStats& core_stats_;
+    AppFn app_;
+    ExecProbe probe_;
+    Batcher batcher_;
+    bool batch_timer_armed_ = false;
+    std::uint64_t next_seq_ = 1;  // leader's sequence counter
+    std::uint64_t stable_checkpoint_ = 0;
+    std::map<NodeId, std::pair<std::uint64_t, sim::Packet>> clients_;  // dedup + cached reply
 };
 
 // ---------------- Generic client ----------------

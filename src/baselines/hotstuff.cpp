@@ -6,49 +6,15 @@
 
 namespace neo::baselines {
 
-HotStuffReplica::HotStuffReplica(HotStuffConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto)
-    : cfg_(cfg), crypto_(std::move(crypto)), batcher_(cfg.batch_policy()) {
-    set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
-}
+HotStuffReplica::HotStuffReplica(const BaseConfig& cfg,
+                                 std::unique_ptr<crypto::NodeCrypto> crypto)
+    : LeaderReplica(cfg, std::move(crypto), stats_) {}
 
-void HotStuffReplica::handle(NodeId from, BytesView data) {
-    if (data.empty()) return;
-    try {
-        Reader r(data.subspan(1));
-        switch (static_cast<Kind>(data[0])) {
-            case Kind::kRequest: on_request(from, r); break;
-            case Kind::kHsProposal: on_proposal(from, r); break;
-            case Kind::kHsVote: on_vote(from, r); break;
-            default: break;
-        }
-    } catch (const CodecError&) {
-    }
-}
-
-void HotStuffReplica::on_request(NodeId from, Reader& r) {
-    Request req = Request::parse(r);
-    if (req.client != from) return;
-    auto it = clients_.find(req.client);
-    if (it != clients_.end() && req.request_id <= it->second.first) {
-        if (req.request_id == it->second.first && !it->second.second.empty()) {
-            send_to(req.client, it->second.second);
-        }
-        return;
-    }
-    if (!is_leader()) return;
-    if (!crypto_->check_mac_from(req.client, req.mac_body(), req.mac)) return;
-
-    trace_batch_add(*this, req);
-    batcher_.add(std::move(req));
-    if (batcher_.should_seal_by_size()) {
-        seal_batch();
-    } else if (!batch_timer_armed_) {
-        batch_timer_armed_ = true;
-        set_timer(batcher_.delay(), [this] {
-            batch_timer_armed_ = false;
-            if (!batcher_.empty()) seal_batch();
-        }, "batch_flush");
+void HotStuffReplica::on_message(Kind kind, NodeId from, Reader& r) {
+    switch (kind) {
+        case Kind::kHsProposal: on_proposal(from, r); break;
+        case Kind::kHsVote: on_vote(from, r); break;
+        default: break;
     }
 }
 
@@ -88,12 +54,7 @@ bool HotStuffReplica::verify_qc(int phase, std::uint64_t seq, const Digest32& di
     return valid >= static_cast<std::size_t>(2 * cfg_.f + 1);
 }
 
-void HotStuffReplica::seal_batch() {
-    std::vector<Request> batch = batcher_.seal();
-    if (obs::TraceSink* tr = sim().trace()) tr->batch(sim().now(), id(), "seal_batch", batch.size());
-    trace_batch_seal(*this, batch);
-    charge_batch_seal(*crypto_);
-    std::uint64_t seq = next_seq_++;
+void HotStuffReplica::order_batch(std::uint64_t seq, std::vector<Request> batch) {
     Digest32 digest = batch_digest(batch);
 
     Instance& inst = instances_[seq];
@@ -131,7 +92,7 @@ void HotStuffReplica::on_proposal(NodeId from, Reader& r) {
 
     if (view != view_ || from != cfg_.primary(view_)) return;
     if (phase < 0 || phase > 3) return;
-    if (seq <= stable_checkpoint_) return;  // pre-checkpoint: instance GC'd
+    if (seq <= stable_checkpoint()) return;  // pre-checkpoint: instance GC'd
     if (!crypto_->verify(from, proposal_body(phase, seq, digest), sig)) return;
 
     Instance& inst = instances_[seq];
@@ -177,10 +138,10 @@ void HotStuffReplica::on_vote(NodeId from, Reader& r) {
     Bytes sig = r.blob(256);
     r.expect_end();
 
-    if (view != view_ || !is_leader()) return;
+    if (view != view_ || !is_primary()) return;
     if (replica != from || !cfg_.is_replica(from)) return;
     if (phase < 0 || phase > 2) return;
-    if (seq <= stable_checkpoint_) return;  // stale vote for a GC'd instance
+    if (seq <= stable_checkpoint()) return;  // stale vote for a GC'd instance
     Instance& inst = instances_[seq];
     if (inst.digest != digest) return;
     if (!crypto_->verify(from, vote_body(phase, seq, digest, replica), sig)) return;
@@ -230,60 +191,22 @@ void HotStuffReplica::try_execute() {
         Instance& inst = it->second;
         if (!inst.decided) break;
 
-        for (const Request& req : inst.batch) {
-            auto cit = clients_.find(req.client);
-            if (cit != clients_.end() && req.request_id <= cit->second.first) continue;
-            charge(sim::kPerBatchedRequestNs);
-            // Client authenticator (MAC-vector entry) verification: PBFT-
-            // lineage protocols verify one entry per request per replica.
-            crypto_->meter().macs++;
-            crypto_->meter().charge(crypto_->root().costs().mac_ns);
-            Bytes result = app_ ? app_(req.op) : req.op;
-            charge(300);
-            ++stats_.requests_executed;
-            probe_.on_execute(*this, req);
-
-            Reply reply;
-            reply.view = view_;
-            reply.replica = id();
-            reply.request_id = req.request_id;
-            reply.result = std::move(result);
-            reply.mac = crypto_->mac_for(req.client, reply.mac_body());
-            sim::Packet wire(reply.serialize());
-            clients_[req.client] = {req.request_id, wire};
-            send_to(req.client, std::move(wire));
-        }
+        commit_next(inst.batch, "decide_batch");
         inst.executed = true;
-        ++last_executed_;
         ++stats_.batches_decided;
-        if (obs::TraceSink* tr = sim().trace()) {
-            tr->phase(sim().now(), id(), "decide_batch", last_executed_);
-        }
         // Garbage-collect decided instances.
         instances_.erase(instances_.begin(), instances_.find(last_executed_));
     }
     maybe_checkpoint();
 }
 
-void HotStuffReplica::maybe_checkpoint() {
-    if (cfg_.checkpoint_interval == 0) return;
-    std::uint64_t target =
-        (last_executed_ / cfg_.checkpoint_interval) * cfg_.checkpoint_interval;
-    if (target == 0 || target <= stable_checkpoint_) return;
-    stable_checkpoint_ = target;
-    ++stats_.checkpoints;
+void HotStuffReplica::take_checkpoint(std::uint64_t target) {
+    advance_floor(target);
     instances_.erase(instances_.begin(), instances_.upper_bound(target));
 }
 
-
-void HotStuffReplica::register_metrics(obs::Registry& reg, const std::string& prefix) {
-    reg.add_collector([this, prefix](obs::Registry& r) {
-        r.set_value(prefix + ".batches_decided", static_cast<double>(stats_.batches_decided));
-        r.set_value(prefix + ".requests_executed", static_cast<double>(stats_.requests_executed));
-        r.set_value(prefix + ".checkpoints", static_cast<double>(stats_.checkpoints));
-        r.set_value(prefix + ".executed_seq", static_cast<double>(last_executed_));
-    });
-    register_rx_metrics(reg, prefix, &kind_name);
+void HotStuffReplica::collect_metrics(obs::Registry& reg, const std::string& prefix) const {
+    reg.set_value(prefix + ".batches_decided", static_cast<double>(stats_.batches_decided));
 }
 
 }  // namespace neo::baselines

@@ -7,37 +7,28 @@
 
 namespace neo::baselines {
 
-MinbftReplica::MinbftReplica(MinbftConfig cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
+MinbftReplica::MinbftReplica(const MinbftConfig& cfg, std::unique_ptr<crypto::NodeCrypto> crypto,
                              std::uint64_t usig_seed)
-    : cfg_(cfg), crypto_(std::move(crypto)), usig_(usig_seed, 0),
-      batcher_(cfg.batch_policy()) {
-    set_meter(&crypto_->meter());
-    set_processing_config(sim::host_processing());
-}
+    : LeaderReplica(cfg, std::move(crypto), stats_), usig_call_ns_(cfg.usig_call_ns),
+      usig_(usig_seed, 0) {}
 
-void MinbftReplica::handle(NodeId from, BytesView data) {
-    if (data.empty()) return;
-    try {
-        Reader r(data.subspan(1));
-        switch (static_cast<Kind>(data[0])) {
-            case Kind::kRequest: on_request(from, r); break;
-            case Kind::kMbPrepare: on_prepare(from, r); break;
-            case Kind::kMbCommit: on_commit(from, r); break;
-            default: break;
-        }
-    } catch (const CodecError&) {
+void MinbftReplica::on_message(Kind kind, NodeId from, Reader& r) {
+    switch (kind) {
+        case Kind::kMbPrepare: on_prepare(from, r); break;
+        case Kind::kMbCommit: on_commit(from, r); break;
+        default: break;
     }
 }
 
 Usig::UI MinbftReplica::metered_create(const Digest32& digest) {
     usig_.set_owner(id());
-    charge(cfg_.usig_call_ns);
+    charge(usig_call_ns_);
     ++stats_.usig_calls;
     return usig_.create(digest);
 }
 
 bool MinbftReplica::metered_verify(NodeId owner, const Digest32& digest, const Usig::UI& ui) {
-    charge(cfg_.usig_call_ns);
+    charge(usig_call_ns_);
     ++stats_.usig_calls;
     return usig_.verify(owner, digest, ui);
 }
@@ -52,39 +43,8 @@ Digest32 MinbftReplica::prepare_digest(std::uint64_t view, std::uint64_t seq,
     return crypto::sha256(w.bytes());
 }
 
-void MinbftReplica::on_request(NodeId from, Reader& r) {
-    Request req = Request::parse(r);
-    if (req.client != from) return;
-    auto it = clients_.find(req.client);
-    if (it != clients_.end() && req.request_id <= it->second.first) {
-        if (req.request_id == it->second.first && !it->second.second.empty()) {
-            send_to(req.client, it->second.second);
-        }
-        return;
-    }
-    if (!is_primary()) return;
-    if (!crypto_->check_mac_from(req.client, req.mac_body(), req.mac)) return;
-
-    trace_batch_add(*this, req);
-    batcher_.add(std::move(req));
-    if (batcher_.should_seal_by_size()) {
-        seal_batch();
-    } else if (!batch_timer_armed_) {
-        batch_timer_armed_ = true;
-        set_timer(batcher_.delay(), [this] {
-            batch_timer_armed_ = false;
-            if (!batcher_.empty()) seal_batch();
-        }, "batch_flush");
-    }
-}
-
-void MinbftReplica::seal_batch() {
-    std::vector<Request> batch = batcher_.seal();
-    if (obs::TraceSink* tr = sim().trace()) tr->batch(sim().now(), id(), "seal_batch", batch.size());
-    trace_batch_seal(*this, batch);
-    charge_batch_seal(*crypto_);
+void MinbftReplica::order_batch(std::uint64_t seq, std::vector<Request> batch) {
     Digest32 bd = batch_digest(batch);
-    std::uint64_t seq = next_seq_++;
     Usig::UI ui = metered_create(prepare_digest(view_, seq, bd));
 
     Writer w(256);
@@ -123,7 +83,7 @@ void MinbftReplica::on_prepare(NodeId from, Reader& r) {
     r.expect_end();
 
     if (view != view_ || from != cfg_.primary(view_)) return;
-    if (seq <= stable_checkpoint_) return;  // pre-checkpoint: slot GC'd
+    if (seq <= stable_checkpoint()) return;  // pre-checkpoint: slot GC'd
     Digest32 bd = batch_digest(batch);
     if (!metered_verify(from, prepare_digest(view, seq, bd), ui)) return;
     // Sequentiality: the trusted counter must strictly advance, so the
@@ -162,7 +122,7 @@ void MinbftReplica::on_commit(NodeId from, Reader& r) {
     r.expect_end();
 
     if (view != view_ || replica != from || !cfg_.is_replica(from)) return;
-    if (seq <= stable_checkpoint_) return;  // stale commit for a GC'd slot
+    if (seq <= stable_checkpoint()) return;  // stale commit for a GC'd slot
     if (!metered_verify(from, digest, ui)) return;
 
     Slot& slot = slots_[seq];
@@ -182,60 +142,22 @@ void MinbftReplica::try_execute() {
             break;
         }
 
-        for (const Request& req : slot.batch) {
-            auto cit = clients_.find(req.client);
-            if (cit != clients_.end() && req.request_id <= cit->second.first) continue;
-            charge(sim::kPerBatchedRequestNs);
-            // Client authenticator (MAC-vector entry) verification: PBFT-
-            // lineage protocols verify one entry per request per replica.
-            crypto_->meter().macs++;
-            crypto_->meter().charge(crypto_->root().costs().mac_ns);
-            Bytes result = app_ ? app_(req.op) : req.op;
-            charge(300);
-            ++stats_.requests_executed;
-            probe_.on_execute(*this, req);
-
-            Reply reply;
-            reply.view = view_;
-            reply.replica = id();
-            reply.request_id = req.request_id;
-            reply.result = std::move(result);
-            reply.mac = crypto_->mac_for(req.client, reply.mac_body());
-            sim::Packet wire(reply.serialize());
-            clients_[req.client] = {req.request_id, wire};
-            send_to(req.client, std::move(wire));
-        }
+        commit_next(slot.batch, "commit_batch");
         slot.executed = true;
-        ++last_executed_;
         ++stats_.batches_committed;
-        if (obs::TraceSink* tr = sim().trace()) {
-            tr->phase(sim().now(), id(), "commit_batch", last_executed_);
-        }
         slots_.erase(slots_.begin(), slots_.find(last_executed_));
     }
     maybe_checkpoint();
 }
 
-void MinbftReplica::maybe_checkpoint() {
-    if (cfg_.checkpoint_interval == 0) return;
-    std::uint64_t target =
-        (last_executed_ / cfg_.checkpoint_interval) * cfg_.checkpoint_interval;
-    if (target == 0 || target <= stable_checkpoint_) return;
-    stable_checkpoint_ = target;
-    ++stats_.checkpoints;
+void MinbftReplica::take_checkpoint(std::uint64_t target) {
+    advance_floor(target);
     slots_.erase(slots_.begin(), slots_.upper_bound(target));
 }
 
-
-void MinbftReplica::register_metrics(obs::Registry& reg, const std::string& prefix) {
-    reg.add_collector([this, prefix](obs::Registry& r) {
-        r.set_value(prefix + ".batches_committed", static_cast<double>(stats_.batches_committed));
-        r.set_value(prefix + ".requests_executed", static_cast<double>(stats_.requests_executed));
-        r.set_value(prefix + ".usig_calls", static_cast<double>(stats_.usig_calls));
-        r.set_value(prefix + ".checkpoints", static_cast<double>(stats_.checkpoints));
-        r.set_value(prefix + ".executed_seq", static_cast<double>(last_executed_));
-    });
-    register_rx_metrics(reg, prefix, &kind_name);
+void MinbftReplica::collect_metrics(obs::Registry& reg, const std::string& prefix) const {
+    reg.set_value(prefix + ".batches_committed", static_cast<double>(stats_.batches_committed));
+    reg.set_value(prefix + ".usig_calls", static_cast<double>(stats_.usig_calls));
 }
 
 }  // namespace neo::baselines

@@ -1,5 +1,3 @@
-#include "baselines/minbft.hpp"
-
 #include <gtest/gtest.h>
 
 #include "baselines_test_util.hpp"
@@ -8,37 +6,7 @@
 namespace neo::baselines {
 namespace {
 
-struct MinbftDeployment {
-    explicit MinbftDeployment(int n = 3, MinbftConfig base = {})
-        : net(sim, 83), root(crypto::CryptoMode::kReal, 9) {
-        net.set_default_link(sim::datacenter_link());
-        cfg = base;
-        cfg.f = (n - 1) / 2;  // MinBFT: n = 2f+1
-        for (int i = 0; i < n; ++i) cfg.replicas.push_back(testutil::kReplicaBase + static_cast<NodeId>(i));
-        for (int i = 0; i < n; ++i) {
-            NodeId rid = testutil::kReplicaBase + static_cast<NodeId>(i);
-            auto rep = std::make_unique<MinbftReplica>(cfg, root.provision(rid), /*usig_seed=*/55);
-            net.add_node(*rep, rid);
-            replicas.push_back(std::move(rep));
-        }
-    }
-
-    QuorumClient& add_client() {
-        NodeId cid = testutil::kClientBase + static_cast<NodeId>(clients.size());
-        auto c = std::make_unique<QuorumClient>(cfg, root.provision(cid),
-                                                static_cast<std::size_t>(cfg.f + 1));
-        net.add_node(*c, cid);
-        clients.push_back(std::move(c));
-        return *clients.back();
-    }
-
-    sim::Simulator sim;
-    sim::Network net;
-    crypto::TrustRoot root;
-    MinbftConfig cfg;
-    std::vector<std::unique_ptr<MinbftReplica>> replicas;
-    std::vector<std::unique_ptr<QuorumClient>> clients;
-};
+using MinbftDeployment = testutil::Deployment<testutil::MinbftProtocol>;
 
 TEST(Usig, CreatesMonotonicSequentialCounters) {
     Usig usig(1, 42);

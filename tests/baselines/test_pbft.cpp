@@ -1,5 +1,3 @@
-#include "baselines/pbft.hpp"
-
 #include <gtest/gtest.h>
 
 #include "baselines_test_util.hpp"
@@ -9,37 +7,7 @@ namespace {
 
 using testutil::drive;
 
-struct PbftDeployment {
-    explicit PbftDeployment(int n = 4, PbftConfig base = {})
-        : net(sim, 77), root(crypto::CryptoMode::kReal, 5) {
-        net.set_default_link(sim::datacenter_link());
-        cfg = base;
-        cfg.f = (n - 1) / 3;
-        for (int i = 0; i < n; ++i) cfg.replicas.push_back(testutil::kReplicaBase + static_cast<NodeId>(i));
-        for (int i = 0; i < n; ++i) {
-            NodeId rid = testutil::kReplicaBase + static_cast<NodeId>(i);
-            auto rep = std::make_unique<PbftReplica>(cfg, root.provision(rid));
-            net.add_node(*rep, rid);
-            replicas.push_back(std::move(rep));
-        }
-    }
-
-    QuorumClient& add_client() {
-        NodeId cid = testutil::kClientBase + static_cast<NodeId>(clients.size());
-        auto c = std::make_unique<QuorumClient>(cfg, root.provision(cid),
-                                                static_cast<std::size_t>(cfg.f + 1));
-        net.add_node(*c, cid);
-        clients.push_back(std::move(c));
-        return *clients.back();
-    }
-
-    sim::Simulator sim;
-    sim::Network net;
-    crypto::TrustRoot root;
-    PbftConfig cfg;
-    std::vector<std::unique_ptr<PbftReplica>> replicas;
-    std::vector<std::unique_ptr<QuorumClient>> clients;
-};
+using PbftDeployment = testutil::Deployment<testutil::PbftProtocol>;
 
 TEST(Pbft, SingleRequestCommits) {
     PbftDeployment d;
@@ -66,7 +34,7 @@ TEST(Pbft, SequentialWorkload) {
 }
 
 TEST(Pbft, BatchingAmortisesAgreement) {
-    PbftConfig base;
+    BaseConfig base;
     base.batch_max = 8;
     base.batch_delay = 200 * sim::kMicrosecond;
     PbftDeployment d(4, base);
@@ -118,7 +86,7 @@ TEST(Pbft, SevenReplicas) {
 }
 
 TEST(Pbft, CheckpointsGarbageCollect) {
-    PbftConfig base;
+    BaseConfig base;
     base.checkpoint_interval = 4;
     base.batch_max = 1;  // one batch per request -> quick seq growth
     base.batch_delay = 10 * sim::kMicrosecond;
@@ -129,6 +97,23 @@ TEST(Pbft, CheckpointsGarbageCollect) {
     d.sim.run_until(10 * sim::kSecond);
     ASSERT_EQ(results.size(), 20u);
     for (auto& rep : d.replicas) EXPECT_GE(rep->stats().checkpoints, 3u);
+}
+
+TEST(Pbft, CheckpointIntervalZeroDisablesCheckpoints) {
+    BaseConfig base;
+    base.checkpoint_interval = 0;
+    base.batch_max = 1;
+    base.batch_delay = 10 * sim::kMicrosecond;
+    PbftDeployment d(4, base);
+    auto& client = d.add_client();
+    std::vector<std::string> results;
+    drive(client, 0, 0, 20, results);
+    d.sim.run_until(10 * sim::kSecond);
+    ASSERT_EQ(results.size(), 20u);
+    for (auto& rep : d.replicas) {
+        EXPECT_EQ(rep->stats().checkpoints, 0u);
+        EXPECT_EQ(rep->stable_checkpoint(), 0u);
+    }
 }
 
 TEST(Pbft, DuplicateRequestAnsweredFromCache) {

@@ -1,5 +1,3 @@
-#include "baselines/zyzzyva.hpp"
-
 #include <gtest/gtest.h>
 
 #include "baselines_test_util.hpp"
@@ -7,36 +5,7 @@
 namespace neo::baselines {
 namespace {
 
-struct ZyzzyvaDeployment {
-    explicit ZyzzyvaDeployment(int n = 4, ZyzzyvaConfig base = {})
-        : net(sim, 79), root(crypto::CryptoMode::kReal, 6) {
-        net.set_default_link(sim::datacenter_link());
-        cfg = base;
-        cfg.f = (n - 1) / 3;
-        for (int i = 0; i < n; ++i) cfg.replicas.push_back(testutil::kReplicaBase + static_cast<NodeId>(i));
-        for (int i = 0; i < n; ++i) {
-            NodeId rid = testutil::kReplicaBase + static_cast<NodeId>(i);
-            auto rep = std::make_unique<ZyzzyvaReplica>(cfg, root.provision(rid));
-            net.add_node(*rep, rid);
-            replicas.push_back(std::move(rep));
-        }
-    }
-
-    ZyzzyvaClient& add_client(ZyzzyvaClient::Options opts = {}) {
-        NodeId cid = testutil::kClientBase + static_cast<NodeId>(clients.size());
-        auto c = std::make_unique<ZyzzyvaClient>(cfg, root.provision(cid), opts);
-        net.add_node(*c, cid);
-        clients.push_back(std::move(c));
-        return *clients.back();
-    }
-
-    sim::Simulator sim;
-    sim::Network net;
-    crypto::TrustRoot root;
-    ZyzzyvaConfig cfg;
-    std::vector<std::unique_ptr<ZyzzyvaReplica>> replicas;
-    std::vector<std::unique_ptr<ZyzzyvaClient>> clients;
-};
+using ZyzzyvaDeployment = testutil::Deployment<testutil::ZyzzyvaProtocol>;
 
 TEST(Zyzzyva, FastPathWithAllReplicas) {
     ZyzzyvaDeployment d;
@@ -116,7 +85,7 @@ TEST(Zyzzyva, SpeculativeHistoryConsistent) {
 }
 
 TEST(Zyzzyva, BatchedThroughput) {
-    ZyzzyvaConfig base;
+    BaseConfig base;
     base.batch_max = 8;
     ZyzzyvaDeployment d(4, base);
     std::vector<std::vector<std::string>> results(6);
